@@ -44,10 +44,12 @@ from .dedekind import (
     korobov_sum_2,
     phi_eval,
     s_analytic,
+    s_analytic_table,
     s_double_sum,
     s_double_sum_exact,
 )
 from .errors import (
+    CertificationError,
     CoprimalityError,
     DivisibilityError,
     ParityError,

@@ -2,8 +2,8 @@
 
 Subcommands: compute, cf, hensley, scan, moment, largeval, verify.
 Logs (including the resolved invocation) go to stderr; data to stdout or
---out. Exit codes: 0 success, 1 verification failure, 2 validation error,
-3 I/O error.
+--out. Exit codes: 0 success, 1 verification or certification failure,
+2 validation error, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import characters, contfrac, dedekind, stats
-from .errors import ValidationError
+from .errors import CertificationError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -358,6 +358,9 @@ def main(argv=None):
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return 3
+    except CertificationError as err:
+        print(f"certification error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ gcd(a, c) = 1 and q1*q2 | c. Throughout c' = c/q2.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,13 @@ from .characters import (
     legendre_character,
 )
 from .contfrac import max_partial_quotient
-from .errors import CoprimalityError, DivisibilityError, ParityError, PrimitivityError
+from .errors import (
+    CertificationError,
+    CoprimalityError,
+    DivisibilityError,
+    ParityError,
+    PrimitivityError,
+)
 
 __all__ = [
     "GammaMatrix",
@@ -40,6 +47,7 @@ __all__ = [
     "f_eval",
     "phi_eval",
     "s_analytic",
+    "s_analytic_table",
     "dw_exact",
     "beta_constant",
     "korobov_sum_1",
@@ -121,6 +129,14 @@ def _validate_args(chi1, chi2, a, c):
         )
 
 
+def _check_trivial_bound(value, a, c, q1, bound):
+    """|S(a, c)| <= q1*c (+ the truncation bound), or CertificationError."""
+    if not abs(value) <= q1 * c + bound + 1e-9:
+        raise CertificationError(
+            f"|S({a}, {c})| = {abs(value):.6g} exceeds the trivial bound q1*c = {q1 * c}"
+        )
+
+
 def s_double_sum(chi1, chi2, a, c):
     """S(a, c) by the defining double sum, O(c*q1) work in double precision.
 
@@ -145,7 +161,7 @@ def s_double_sum(chi1, chi2, a, c):
     value = complex((w2 * bj * inner).sum())
     d = 1 if c == 1 else pow(a, -1, c)
     D = max_partial_quotient(a, c // q2)
-    assert abs(value) <= q1 * c + 1e-9
+    _check_trivial_bound(value, a, c, q1, 0.0)
     return DedekindSumResult(value, "double_sum", 0.0, d, D)
 
 
@@ -217,6 +233,13 @@ def _truncation_length(c, q2, cp, target_error):
     return hi, tail(hi)
 
 
+def _check_tail_guard(one_minus_theta, c, out=None):
+    """The tail bound needs |1 - theta| >= 1/2 for every l >= c'."""
+    low = np.abs(one_minus_theta, out=out).min()
+    if not low >= 0.5 - 1e-9:
+        raise CertificationError(f"|1 - theta| = {low:.6g} < 1/2 in the tail of f, c = {c}")
+
+
 def f_eval(chi1, chi2, numerator, c, target_error):
     """The period-like function f at z = (numerator + i)/c, with certified tail.
 
@@ -247,8 +270,7 @@ def f_eval(chi1, chi2, numerator, c, target_error):
         emt * np.sin(2 * ang)
     )
     # for l >= c' the tail analysis needs |theta| < 1/2, so |1 - theta| >= 1/2
-    guard = np.abs(one_minus_theta[l >= cp])
-    assert guard.min() >= 0.5 - 1e-9
+    _check_tail_guard(one_minus_theta[l >= cp], c)
     coeff = chi1.values[l % q1] / (l * one_minus_theta)
     num_c = numerator % c
     chi2bar = np.conj(chi2.values)
@@ -284,10 +306,12 @@ def phi_eval(chi1, chi2, gamma, target_error):
 
 
 def s_analytic(chi1, chi2, a, c, target_error=1e-8):
-    """S(a, c) via the analytic route; O(c') per call, the fast path for sweeps.
+    """S(a, c) via the analytic route: two f series, O(L*q2) work per call.
 
     value = gauss_sum(conj(chi1)) / (pi*i) * phi(gamma); the returned
     truncation_bound is the phi bound scaled by |tau|/pi = sqrt(q1)/pi.
+    L ~ c*ln(1/target_error)/(2*pi) grows with c, so this is the single-query
+    route; sweeps over every a mod c use s_analytic_table.
     """
     _validate_pair(chi1, chi2)
     _validate_args(chi1, chi2, a, c)
@@ -299,8 +323,123 @@ def s_analytic(chi1, chi2, a, c, target_error=1e-8):
     value = tau / (math.pi * 1j) * phi
     bound = abs(tau) / math.pi * tb
     D = max_partial_quotient(a, c // q2)
-    assert abs(value) <= q1 * c + bound + 1e-9
+    _check_trivial_bound(value, a, c, q1, bound)
     return DedekindSumResult(value, "analytic", bound, gamma.d, D)
+
+
+# complex entries per row block of the f table: bounds the kernel's working
+# set whatever c and the number of units
+_TABLE_BLOCK = 1 << 15
+_WORK_DTYPES = (np.int64, np.int64, float, float, complex, complex, complex)
+_work = threading.local()
+
+
+def _work_arrays(size):
+    """This thread's work arrays for _f_table, of at least `size` entries each.
+
+    Kept from call to call (80 bytes per entry, 2.6 MB at the default
+    block), so a sweep writes the same pages again instead of faulting in
+    fresh ones for every block of every c.
+    """
+    arrays = getattr(_work, "arrays", None)
+    if arrays is None or arrays[0].size < size:
+        arrays = _work.arrays = [np.empty(size, dtype) for dtype in _WORK_DTYPES]
+    return arrays
+
+
+def _f_table(chi1, chi2, c, target_error):
+    """f_eval(chi1, chi2, x, c, target_error) for every unit x mod c at once.
+
+    Returns (F, bound) with F[x] the value (None off the units). The same
+    truncation length, bound and per-term arithmetic as f_eval, so each
+    value is bit-identical to it: the x-independent factors are built once,
+    e(r/c) and the folded sines of pi*r/c' are read from residue tables
+    indexed by r = l*x mod c, and the units are taken in row blocks of at
+    most _TABLE_BLOCK terms, computed in place in this thread's work arrays.
+    """
+    q1, q2 = chi1.modulus, chi2.modulus
+    cp = c // q2
+    L, tbound = _truncation_length(c, q2, cp, target_error)
+    l = np.arange(1, L + 1)
+    t = 2 * np.pi * l / cp
+    emt = np.exp(-t)
+    emt2 = emt * 2
+    re_base = -np.expm1(-t)
+    # l*x mod c' = (l*x mod c) mod c', so the sine tables have length c too
+    frac = (np.arange(c) % cp) / cp
+    frac = np.where(frac > 0.5, frac - 1.0, frac)
+    ang = np.pi * frac
+    sin_sq = np.sin(ang) ** 2
+    sin_2ang = np.sin(2 * ang)
+    # e(r/c) for 0 <= r < q2*c, so k0*(l*x mod c) needs no further reduction
+    e_ext = np.tile(np.exp(2j * np.pi * np.arange(c) / c), q2)
+    chi1_l = chi1.values[l % q1]
+    l_mod_c = l % c
+    chi2bar = np.conj(chi2.values)
+    terms = [
+        (k0, chi2bar[k0 % q2] * np.exp(-2 * np.pi * k0 * l / c))
+        for k0 in range(1, q2 + 1)
+        if chi2bar[k0 % q2] != 0
+    ]
+    units = [x for x in range(1, c) if math.gcd(x, c) == 1]
+    rows = max(1, _TABLE_BLOCK // L)
+    # the block loop computes in place (out=) in the work arrays
+    work = _work_arrays(max(_TABLE_BLOCK, L))
+    F = [None] * c
+    for start in range(0, len(units), rows):
+        block = units[start:start + rows]
+        r, k0r, re, im, omt, e_k, inner = (
+            w[:len(block) * L].reshape(len(block), L) for w in work
+        )
+        np.remainder(np.multiply(l_mod_c, np.array(block)[:, None], out=r), c, out=r)
+        # 1 - theta = (re_base + emt*2*sin^2) - 1j*(emt*sin(2*ang)), as in f_eval
+        np.multiply(emt2, np.take(sin_sq, r, out=re, mode="clip"), out=re)
+        np.add(re_base, re, out=re)
+        np.multiply(emt, np.take(sin_2ang, r, out=im, mode="clip"), out=im)
+        np.subtract(re, np.multiply(1j, im, out=omt), out=omt)
+        _check_tail_guard(omt[:, cp - 1:], c, out=re[:, cp - 1:])
+        # coeff = chi1(l) / (l * (1 - theta))
+        np.divide(chi1_l, np.multiply(l, omt, out=omt), out=omt)
+        inner.fill(0)
+        for k0, w_decay in terms:
+            np.take(e_ext, np.multiply(r, k0, out=k0r), out=e_k, mode="clip")
+            np.add(inner, np.multiply(w_decay, e_k, out=e_k), out=inner)
+        np.multiply(omt, inner, out=inner)
+        for i, x in enumerate(block):
+            F[x] = complex(inner[i].sum())
+    return F, float(tbound)
+
+
+def s_analytic_table(chi1, chi2, c, target_error=1e-8):
+    """S(a, c) by the analytic route for every unit a mod c, from one f table.
+
+    Returns [(a, d, value, truncation_bound)] for the units a = 1..c-1 in
+    order; each row equals s_analytic(chi1, chi2, a, c, target_error)'s a,
+    d_used, value and truncation_bound exactly. f is tabulated once at every
+    unit x (with phi_eval's target_error/2) and each value serves both a and
+    -d; the rows are combined with s_analytic's scalar arithmetic.
+    """
+    _validate_pair(chi1, chi2)
+    q1, q2 = chi1.modulus, chi2.modulus
+    if c < 1 or c % (q1 * q2):
+        raise DivisibilityError(f"q1*q2 = {q1 * q2} must divide c = {c}")
+    if target_error <= 0:
+        raise ValueError("target_error must be positive")
+    F, fb = _f_table(chi1, chi2, c, target_error / 2)
+    tau = gauss_sum(chi1.conjugate())
+    scale = tau / (math.pi * 1j)
+    bound_scale = abs(tau) / math.pi
+    rows = []
+    for a in range(1, c):
+        if F[a] is None:
+            continue
+        d = pow(a, -1, c)
+        psi = chi1(d) * chi2(d).conjugate()
+        value = scale * (F[a] - psi * F[c - d])
+        bound = bound_scale * (fb + abs(psi) * fb)
+        _check_trivial_bound(value, a, c, q1, bound)
+        rows.append((a, d, value, bound))
+    return rows
 
 
 def dw_exact(p, k, l):

@@ -23,3 +23,7 @@ class CoprimalityError(ValidationError):
 
 class DivisibilityError(ValidationError):
     """A required divisibility (q2 | c, or q1*q2 | c) fails."""
+
+
+class CertificationError(ArithmeticError):
+    """A computed value breaks a bound its certification relies on."""

@@ -1,8 +1,11 @@
 """Sweep harnesses over admissible (a, c) with deterministic emission.
 
 scan_F counts threshold exceedances |S| > alpha * log^3(C_max) over
-1 <= a < c <= C_max with gcd(a, c) = 1 and q1*q2 | c. Partitioning is by c
-with ordered merge, so results are byte-identical for any worker count.
+1 <= a < c <= C_max with gcd(a, c) = 1 and q1*q2 | c. The analytic route
+evaluates each c with one dedekind.s_analytic_table call, which serves
+every a mod c; the c values run in order in the calling thread, so results
+are byte-identical for any worker count. second_moment uses the same per-c
+table.
 """
 from __future__ import annotations
 
@@ -11,12 +14,11 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
-from multiprocessing import Pool
 
 from . import dedekind
 from .characters import character_from_index
 from .contfrac import expand
-from .errors import DivisibilityError
+from .errors import CertificationError, DivisibilityError
 
 __all__ = [
     "ScanConfig",
@@ -81,69 +83,66 @@ def _resolve_pair(config):
     return character_from_index(q1, i1), character_from_index(q2, i2)
 
 
+def _s_rows(chi1, chi2, c, method, target_error):
+    """(a, d, S, truncation_bound) for every unit a mod c by the chosen route."""
+    if method != "double_sum":
+        return dedekind.s_analytic_table(chi1, chi2, c, target_error)
+    rows = []
+    for a in range(1, c):
+        if math.gcd(a, c) == 1:
+            res = dedekind.s_double_sum(chi1, chi2, a, c)
+            rows.append((a, res.d_used, res.value, 0.0))
+    return rows
+
+
 def _scan_one_c(c, chi1, chi2, threshold, method, target_error, exceed_only):
-    q2 = chi2.modulus
-    cp = c // q2
+    cp = c // chi2.modulus
     log2cp = math.log(cp) ** 2
     count = 0
     records = []
     max_dev = 0.0
-    for a in range(1, c):
-        if math.gcd(a, c) != 1:
-            continue
-        if method == "double_sum":
-            res = dedekind.s_double_sum(chi1, chi2, a, c)
-        else:
-            res = dedekind.s_analytic(chi1, chi2, a, c, target_error)
-            if method == "both":
-                ref = dedekind.s_double_sum(chi1, chi2, a, c)
-                dev = abs(res.value - ref.value)
-                if dev > 1e-6 + res.truncation_bound:
-                    raise RuntimeError(
-                        f"method disagreement {dev:.3g} at (a={a}, c={c})"
-                    )
-                max_dev = max(max_dev, dev)
-        val = res.value
+    for a, d, val, bound in _s_rows(chi1, chi2, c, method, target_error):
+        if method == "both":
+            ref = dedekind.s_double_sum(chi1, chi2, a, c)
+            dev = abs(val - ref.value)
+            if dev > 1e-6 + bound:
+                raise RuntimeError(
+                    f"method disagreement {dev:.3g} at (a={a}, c={c})"
+                )
+            max_dev = max(max_dev, dev)
         sabs = abs(val)
         exceeds = sabs > threshold
         if exceeds:
             count += 1
         if exceeds or not exceed_only:
             cf = expand(a, cp)
+            D = max(cf.partials)
             records.append(
                 ScanRecord(
                     c=c,
                     a=a,
-                    d=res.d_used,
-                    D=max(cf.partials),
+                    d=d,
+                    D=D,
                     cf_len=cf.n,
                     S_re=val.real,
                     S_im=val.imag,
                     S_abs=sabs,
-                    bound_ratio=sabs / (max(cf.partials) * log2cp),
+                    bound_ratio=sabs / (D * log2cp),
                     exceeds_threshold=exceeds,
                 )
             )
     return count, records, max_dev
 
 
-_WORKER_ARGS = None
-
-
-def _init_worker(*args):
-    global _WORKER_ARGS
-    _WORKER_ARGS = args
-
-
-def _scan_worker(c):
-    return _scan_one_c(c, *_WORKER_ARGS)
-
-
 def scan_F(config):
     """Run the sweep; returns (exceedance_count, records).
 
-    Deterministic for any worker_count: tasks are whole c values, merged in
-    order. An empty range (C_max < q1*q2) gives (0, []).
+    The c values run in order in the calling thread, so the output does not
+    depend on worker_count. worker_count is validated but no longer splits
+    the work: with the per-c table most of a c's time holds the GIL, so a
+    second thread gained nothing at C_max = 450 and made each run's time
+    depend on the load of the other core. An empty range (C_max < q1*q2)
+    gives (0, []).
     """
     chi1, chi2 = _resolve_pair(config)
     dedekind._validate_pair(chi1, chi2)
@@ -159,14 +158,11 @@ def scan_F(config):
         raise ValueError(f"unknown method {config.method!r}")
     q1q2 = chi1.modulus * chi2.modulus
     threshold = config.alpha * math.log(config.C_max) ** 3
-    cs = range(q1q2, config.C_max + 1, q1q2)
-    args = (chi1, chi2, threshold, config.method, config.target_error,
-            config.exceedances_only)
-    if config.worker_count == 1 or len(cs) <= 1:
-        chunks = [_scan_one_c(c, *args) for c in cs]
-    else:
-        with Pool(config.worker_count, initializer=_init_worker, initargs=args) as pool:
-            chunks = pool.map(_scan_worker, cs)
+    chunks = [
+        _scan_one_c(c, chi1, chi2, threshold, config.method, config.target_error,
+                    config.exceedances_only)
+        for c in range(q1q2, config.C_max + 1, q1q2)
+    ]
     count = sum(ch[0] for ch in chunks)
     records = [rec for ch in chunks for rec in ch[1]]
     scan_F.last_max_deviation = max((ch[2] for ch in chunks), default=0.0)
@@ -184,13 +180,7 @@ def second_moment(chi1, chi2, c, method="analytic", target_error=1e-6):
             f"q1*q2 = {chi1.modulus * chi2.modulus} must divide c = {c}"
         )
     total = 0.0
-    for a in range(1, c):
-        if math.gcd(a, c) != 1:
-            continue
-        if method == "double_sum":
-            val = dedekind.s_double_sum(chi1, chi2, a, c).value
-        else:
-            val = dedekind.s_analytic(chi1, chi2, a, c, target_error).value
+    for _, _, val, _ in _s_rows(chi1, chi2, c, method, target_error):
         total += abs(val) ** 2
     return total
 
@@ -219,7 +209,8 @@ def largeval_sweep(chi1, chi2, n, k_range, target_error=1e-8):
             continue
         res = dedekind.s_analytic(chi1, chi2, a, c, target_error)
         d = res.d_used
-        assert (1 - d) % cp == 0
+        if (1 - d) % cp:
+            raise CertificationError(f"d = {d} is not 1 mod c' = {cp} at (a={a}, c={c})")
         m = (1 - d) // cp
         beta = dedekind.beta_constant(chi1, chi2, m, n, d % q2)
         main = beta * cp
@@ -297,12 +288,16 @@ def emit(records, fmt="csv", dest=None):
 
 
 def read_records(source, fmt="csv"):
-    """Parse emitted scan records back (path, file-like, or text)."""
+    """Parse emitted scan records back (path, file-like, or text).
+
+    A str containing a newline is the emitted text itself (emit's output
+    always ends in one); any other str or path-like is a file path.
+    """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
     if hasattr(source, "read"):
         text = source.read()
-    elif "\n" in source or "," in source:
+    elif isinstance(source, str) and "\n" in source:
         text = source
     else:
         with open(source) as fh:

@@ -152,6 +152,24 @@ def test_scan_bad_out_path_is_io_error(capsys, tmp_path):
     assert "i/o error" in err
 
 
+def test_certification_error_exits_one(capsys, monkeypatch):
+    from newform_dedekind import characters
+
+    real = characters.legendre_character
+
+    def inflated(p):
+        chi = real(p)
+        chi.values = chi.values * 1000
+        return chi
+
+    monkeypatch.setattr(characters, "legendre_character", inflated)
+    rc, _, err = run(capsys, ["compute", *PAIR, "--a", "6", "--c", "25",
+                              "--method", "analytic"])
+    assert rc == 1
+    last = err.strip().split("\n")[-1]
+    assert last.startswith("certification error: |S(6, 25)|")
+
+
 def test_moment_values(capsys):
     rc, out, _ = run(capsys, ["moment", *PAIR, "--c", "225"])
     assert rc == 0

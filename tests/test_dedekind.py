@@ -5,8 +5,14 @@ directly over kl <= K; it is an independent check on the closed-form f.
 """
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,9 +30,11 @@ from newform_dedekind.dedekind import (
     korobov_sum_2,
     phi_eval,
     s_analytic,
+    s_analytic_table,
     s_double_sum,
     s_double_sum_exact,
 )
+from newform_dedekind import dedekind
 from newform_dedekind.characters import l2_principal, l2_value, character_product
 from newform_dedekind.errors import (
     CoprimalityError,
@@ -39,6 +47,7 @@ LEG5 = legendre_character(5)
 LEG3 = legendre_character(3)
 QUARTIC = character_from_index(5, 1)
 ODD4 = character_from_index(4, 1)
+ORDER6 = character_from_index(7, 1)
 
 
 def brute_f(chi1, chi2, z, K):
@@ -271,6 +280,88 @@ def test_methods_agree_on_random_pairs():
             ref = s_double_sum(chi1, chi2, a, c)
             fast = s_analytic(chi1, chi2, a, c, 1e-8)
             assert abs(ref.value - fast.value) <= 1e-6 + fast.truncation_bound
+
+
+TABLE_CASES = [
+    # (chi1, chi2, (c = q1*q2, a larger c spanning several row blocks))
+    pytest.param(LEG5, LEG5, (25, 450), id="legendre5"),
+    pytest.param(QUARTIC, QUARTIC, (25, 450), id="quartic5"),
+    pytest.param(ORDER6, ORDER6, (49, 490), id="order6-mod7"),
+    pytest.param(ODD4, LEG3, (12, 600), id="q4-q3"),
+]
+
+
+@pytest.mark.parametrize("chi1, chi2, cs", TABLE_CASES)
+@pytest.mark.parametrize("eps", [1e-6, 1e-10])
+def test_analytic_table_rows_equal_s_analytic(chi1, chi2, cs, eps):
+    for c in cs:
+        rows = s_analytic_table(chi1, chi2, c, eps)
+        assert [row[0] for row in rows] == [a for a in range(1, c) if math.gcd(a, c) == 1]
+        for a, d, value, bound in rows:
+            ref = s_analytic(chi1, chi2, a, c, eps)
+            assert (value, d, bound) == (ref.value, ref.d_used, ref.truncation_bound)
+
+
+def test_analytic_table_is_independent_of_row_blocks(monkeypatch):
+    whole = s_analytic_table(QUARTIC, QUARTIC, 150, 1e-8)
+    monkeypatch.setattr(dedekind, "_TABLE_BLOCK", 1)  # one unit per block
+    assert s_analytic_table(QUARTIC, QUARTIC, 150, 1e-8) == whole
+
+
+def test_analytic_table_threads_keep_separate_work_arrays():
+    # each thread computes in its own work arrays; shared ones would mix the
+    # rows of tables computed at the same time
+    cases = [(LEG5, LEG5, 450), (QUARTIC, QUARTIC, 300), (ORDER6, ORDER6, 245),
+             (ODD4, LEG3, 360)]
+    expected = [s_analytic_table(*case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda case: s_analytic_table(*case), cases * 2))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 2
+
+
+def test_analytic_table_errors():
+    with pytest.raises(DivisibilityError):
+        s_analytic_table(LEG5, LEG5, 30)
+    with pytest.raises(ParityError):
+        s_analytic_table(LEG5, ODD4, 20)
+    with pytest.raises(ValueError):
+        s_analytic_table(LEG5, LEG5, 25, 0.0)
+
+
+def test_certification_checks_survive_python_O():
+    # an inflated character table pushes |S| past q1*c; under -O an assert
+    # would vanish, the CertificationError must not
+    code = textwrap.dedent("""
+        from newform_dedekind import dedekind, legendre_character
+        from newform_dedekind.errors import CertificationError
+        chi = legendre_character(5)
+        chi.values = chi.values * 1000
+        routes = (
+            lambda: dedekind.s_double_sum(chi, chi, 6, 25),
+            lambda: dedekind.s_analytic(chi, chi, 6, 25),
+            lambda: dedekind.s_analytic_table(chi, chi, 25),
+        )
+        for route in routes:
+            try:
+                route()
+            except CertificationError:
+                continue
+            raise SystemExit("no CertificationError")
+        assert False  # stripped by -O
+        print("ok")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_beta_zero_at_origin():

@@ -132,6 +132,22 @@ def test_second_moment_oracle_225():
     assert abs(approx - 4592) < 1e-4
 
 
+def test_second_moment_at_1800_matches_exact():
+    # twice criterion 08's largest scale: the analytic moment's error grows
+    # with c, so pin it beyond the criterion's scales too
+    approx = second_moment(LEG5, LEG5, 1800)
+    exact = sum(
+        (
+            abs(s_double_sum_exact(LEG5, LEG5, a, 1800)) ** 2
+            for a in range(1, 1800)
+            if math.gcd(a, 1800) == 1
+        ),
+        Fraction(0),
+    )
+    assert exact == Fraction(200096)
+    assert abs(approx - 200096) < 1e-4
+
+
 def test_second_moment_rejects_bad_modulus():
     from newform_dedekind.errors import DivisibilityError
 
@@ -184,6 +200,20 @@ def test_emit_read_round_trip():
             assert (r1.c, r1.a, r1.d, r1.D, r1.cf_len) == (r2.c, r2.a, r2.d, r2.D, r2.cf_len)
             assert r1.exceeds_threshold == r2.exceeds_threshold
             assert abs(r1.S_abs - r2.S_abs) <= 1e-11 * max(1.0, r2.S_abs)
+
+
+def test_read_records_path_with_comma(tmp_path):
+    # a path is never mistaken for CSV text, whatever characters it holds
+    _, records = scan_F(small_config(C_max=50))
+    assert len(records) == 40
+    folder = tmp_path / "a,b"
+    folder.mkdir()
+    for fmt in ("csv", "jsonl"):
+        path = folder / f"x.{fmt}"
+        emit(records, fmt, str(path))
+        for source in (str(path), path):
+            back = read_records(source, fmt)
+            assert [(r.c, r.a) for r in back] == [(r.c, r.a) for r in records]
 
 
 def test_emit_sorts_shuffled_input():
