@@ -28,6 +28,7 @@ from .contfrac import (
     matrix_factorization,
     max_partial_quotient,
     phi_count,
+    quotient_counts,
     reverse_denominator_expansion,
     to_parity_form,
 )

@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import CertificationError
+
 __all__ = [
     "DirichletCharacter",
     "character_from_index",
@@ -296,6 +298,7 @@ def character_product(chi1, chi2, conjugate_second=False):
         fr += sign * Fraction(int(chi2.logs[g % q2]), chi2.order)
         fr %= 1
         k = fr * s
-        assert k.denominator == 1  # g^s = 1 forces an s-th root of unity
+        if k.denominator != 1:  # g^s = 1 forces an s-th root of unity
+            raise CertificationError(f"product exponent {k} on a generator of order {s}")
         ks.append(int(k) % s)
     return character_from_index(m, _exponents_to_index(m, ks))

@@ -12,16 +12,9 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from . import characters, contfrac, dedekind, stats
 from .errors import CertificationError, ValidationError
-
-
-@dataclass(frozen=True)
-class CliInvocation:
-    subcommand: str
-    flags: dict
 
 
 def _parse_character(q, spec):
@@ -76,10 +69,8 @@ def cmd_compute(args):
     trivial = chi1.modulus * args.c
     print(f"D(a,c') = {primary.max_partial_quotient}")
     print(f"trivial_bound = {trivial}")
-    print(
-        "bound_ratio = "
-        f"{abs(primary.value) / (primary.max_partial_quotient * math.log(cp) ** 2):.6g}"
-    )
+    ratio = dedekind.ratio_to_bound(abs(primary.value), primary.max_partial_quotient, cp)
+    print(f"bound_ratio = {ratio:.6g}")
     return 0
 
 
@@ -88,18 +79,14 @@ def cmd_cf(args):
     if not cf.partials:
         print(str(cf))
         return 0
-    line = f"{cf} D={max(cf.partials)}"
-    a = args.a % args.c
-    rev = contfrac.reverse_denominator_expansion(a, args.c)
-    ok = a * rev.numerator % args.c == 1
-    line += f" reversed→{rev.numerator}/{rev.denominator} {'ok' if ok else 'MISMATCH'}"
-    print(line)
-    return 0 if ok else 1
+    # the reversal raises CertificationError unless a*d = 1 mod c
+    rev = contfrac.reverse_denominator_expansion(args.a % args.c, args.c)
+    print(f"{cf} D={max(cf.partials)} reversed→{rev.numerator}/{rev.denominator} ok")
+    return 0
 
 
 def cmd_hensley(args):
-    phi = contfrac.phi_count(args.alpha, args.C)
-    g = contfrac.g_count(args.alpha, args.C)
+    phi, g = contfrac.quotient_counts(args.alpha, args.C)
     pred = contfrac.hensley_prediction(args.alpha, args.C)
     print(f"phi_count = {phi}")
     print(f"g_count = {g}")
@@ -146,6 +133,8 @@ def cmd_moment(args):
 
 
 def cmd_largeval(args):
+    if args.kmin > args.kmax:
+        raise ValidationError(f"need kmin <= kmax, got {args.kmin} > {args.kmax}")
     chi1, chi2 = _pair_from_args(args)
     records = stats.largeval_sweep(
         chi1, chi2, args.n, range(args.kmin, args.kmax + 1), args.eps
@@ -213,9 +202,10 @@ def _suite_agreement(args):
                 break
         exact = dedekind.s_double_sum(chi1, chi2, a, c)
         approx = dedekind.s_analytic(chi1, chi2, a, c, args.eps)
-        dev = abs(exact.value - approx.value)
-        if dev > 1e-6 + approx.truncation_bound:
-            failures.append(f"agreement: |diff| = {dev:.3g} at (a={a}, c={c})")
+        try:
+            dedekind.check_agreement(approx.value, exact.value, approx.truncation_bound, a, c)
+        except CertificationError as err:
+            failures.append(f"agreement: {err}")
     return failures
 
 
@@ -342,11 +332,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    invocation = CliInvocation(args.command, flags)
-    print(
-        f"config: {json.dumps({'subcommand': invocation.subcommand, 'flags': invocation.flags}, default=str)}",
-        file=sys.stderr,
-    )
+    config = {"subcommand": args.command, "flags": flags}
+    print(f"config: {json.dumps(config, default=str)}", file=sys.stderr)
     try:
         return args.func(args)
     except ValidationError as err:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoprimalityError
+from .errors import CertificationError, CoprimalityError
 
 __all__ = [
     "ContinuedFraction",
@@ -21,6 +21,7 @@ __all__ = [
     "matrix_factorization",
     "reverse_denominator_expansion",
     "digit_symmetry_delta",
+    "quotient_counts",
     "phi_count",
     "g_count",
     "hensley_prediction",
@@ -54,7 +55,8 @@ class ContinuedFraction:
             p, q = a0 * num + den, num
         else:
             p, q = a0, 1
-        assert math.gcd(p, q) == 1 and q >= 1
+        if math.gcd(p, q) != 1 or q < 1:
+            raise CertificationError(f"terms {a0}, {partials} gave {p}/{q}, not reduced")
         return cls(a0, partials, p, q)
 
     @property
@@ -94,7 +96,8 @@ def expand(a, c):
         partials.append(q)
         x, y = y, r
     cf = ContinuedFraction.from_terms(0, partials)
-    assert cf.is_canonical and (cf.numerator, cf.denominator) == (a, c)
+    if not cf.is_canonical or (cf.numerator, cf.denominator) != (a, c):
+        raise CertificationError(f"Euclid gave {cf} for {a}/{c}")
     return cf
 
 
@@ -118,7 +121,8 @@ def to_parity_form(cf, want_odd_n):
         out = ContinuedFraction.from_terms(
             cf.a0, cf.partials[:-1] + (cf.partials[-1] - 1, 1)
         )
-    assert (out.numerator, out.denominator) == (cf.numerator, cf.denominator)
+    if (out.numerator, out.denominator) != (cf.numerator, cf.denominator):
+        raise CertificationError(f"parity form {out} does not equal {cf}")
     return out
 
 
@@ -162,9 +166,11 @@ def reverse_denominator_expansion(a, c):
     odd = to_parity_form(expand(a, c), want_odd_n=True)
     rev = ContinuedFraction.from_terms(0, tuple(reversed(odd.partials)))
     d = rev.numerator
-    assert rev.denominator == c and a * d % c == 1
+    if rev.denominator != c or a * d % c != 1:
+        raise CertificationError(f"reversal {rev} of {a}/{c} is not d/c with a*d = 1 mod c")
     check = expand(d, c)
-    assert (check.numerator, check.denominator) == (rev.numerator, rev.denominator)
+    if (check.numerator, check.denominator) != (d, c):
+        raise CertificationError(f"re-expanding the reversal {rev} of {a}/{c} gave {check}")
     return rev
 
 
@@ -175,7 +181,8 @@ def digit_symmetry_delta(a, c):
     da = max_partial_quotient(a, c)
     d = pow(a, -1, c)
     delta = da - max_partial_quotient(d, c)
-    assert abs(delta) <= 1
+    if abs(delta) > 1:
+        raise CertificationError(f"D({a}, {c}) - D({d}, {c}) = {delta} is outside [-1, 1]")
     return delta
 
 
@@ -199,34 +206,31 @@ def _max_quotient_table(c):
     return best, x
 
 
-def phi_count(alpha, C):
-    """#{(a, c): 1 < a < c <= C, gcd(a, c) = 1, D(a, c) <= alpha*log C}."""
+def quotient_counts(alpha, C):
+    """(phi_count, g_count): the pairs 1 < a < c <= C with gcd(a, c) = 1 split
+    by D(a, c) <= alpha*log C, from one Euclid table per c."""
     if C < 3:
         raise ValueError("need C >= 3")
     if alpha <= 0:
         raise ValueError("need alpha > 0")
     limit = alpha * math.log(C)
-    total = 0
+    phi = g = 0
     for c in range(3, C + 1):
-        D, g = _max_quotient_table(c)
-        keep = (g == 1) & (np.arange(1, c) > 1)
-        total += int((D[keep] <= limit).sum())
-    return total
+        D, gcd = _max_quotient_table(c)
+        D = D[(gcd == 1) & (np.arange(1, c) > 1)]
+        phi += int((D <= limit).sum())
+        g += int((D > limit).sum())
+    return phi, g
+
+
+def phi_count(alpha, C):
+    """#{(a, c): 1 < a < c <= C, gcd(a, c) = 1, D(a, c) <= alpha*log C}."""
+    return quotient_counts(alpha, C)[0]
 
 
 def g_count(alpha, C):
     """Complement count: same pairs with D(a, c) > alpha*log C."""
-    if C < 3:
-        raise ValueError("need C >= 3")
-    if alpha <= 0:
-        raise ValueError("need alpha > 0")
-    limit = alpha * math.log(C)
-    total = 0
-    for c in range(3, C + 1):
-        D, g = _max_quotient_table(c)
-        keep = (g == 1) & (np.arange(1, c) > 1)
-        total += int((D[keep] > limit).sum())
-    return total
+    return quotient_counts(alpha, C)[1]
 
 
 def hensley_prediction(alpha, C):

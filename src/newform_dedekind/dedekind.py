@@ -8,8 +8,8 @@ Two evaluation routes for S(a, c):
   at z = (-d + i)/c, gamma z = (a + i)/c, with f evaluated by a closed-form
   l-series truncated at a certified tail bound.
 
-Admissibility: chi1, chi2 primitive nontrivial, chi1(-1)*chi2(-1) = +1,
-gcd(a, c) = 1 and q1*q2 | c. Throughout c' = c/q2.
+Admissibility (check_admissible): chi1, chi2 primitive nontrivial,
+chi1(-1)*chi2(-1) = +1, gcd(a, c) = 1 and q1*q2 | c. Throughout c' = c/q2.
 """
 from __future__ import annotations
 
@@ -42,6 +42,8 @@ __all__ = [
     "DedekindSumResult",
     "b1",
     "complete_matrix",
+    "check_admissible",
+    "check_agreement",
     "s_double_sum",
     "s_double_sum_exact",
     "f_eval",
@@ -53,6 +55,7 @@ __all__ = [
     "korobov_sum_1",
     "korobov_sum_2",
     "bound_ratio",
+    "ratio_to_bound",
 ]
 
 
@@ -103,30 +106,21 @@ def complete_matrix(a, c, q1, q2):
     return GammaMatrix(a, b, c, d)
 
 
-def _validate_pair(chi1, chi2):
+def check_admissible(chi1, chi2, a=1, c=None):
+    """Check the pair, then (given c) c >= 1, gcd(a, c) = 1 and q1*q2 | c.
+
+    Each failed condition raises its own error. Given c, complete_matrix
+    makes the checks on (a, c) and its matrix is returned; callers that take
+    c alone leave a = 1, which is a unit mod every c.
+    """
     for chi in (chi1, chi2):
-        if chi.is_principal:
+        if chi.is_principal or not is_primitive(chi):
             raise PrimitivityError(
-                f"character (q={chi.modulus}, index={chi.index}) is principal; "
-                "need primitive nontrivial"
-            )
-        if not is_primitive(chi):
-            raise PrimitivityError(
-                f"character (q={chi.modulus}, index={chi.index}) is not primitive"
+                f"character (q={chi.modulus}, index={chi.index}) is not primitive nontrivial"
             )
     if chi1.parity * chi2.parity != 1:
         raise ParityError("character pair must satisfy chi1(-1)*chi2(-1) = +1")
-
-
-def _validate_args(chi1, chi2, a, c):
-    if c < 1:
-        raise ValueError("need c >= 1")
-    if math.gcd(a, c) != 1:
-        raise CoprimalityError(f"gcd({a}, {c}) != 1")
-    if c % (chi1.modulus * chi2.modulus):
-        raise DivisibilityError(
-            f"q1*q2 = {chi1.modulus * chi2.modulus} must divide c = {c}"
-        )
+    return None if c is None else complete_matrix(a, c, chi1.modulus, chi2.modulus)
 
 
 def _check_trivial_bound(value, a, c, q1, bound):
@@ -143,8 +137,7 @@ def s_double_sum(chi1, chi2, a, c):
     All B1 arguments are reduced as exact fractions (integer remainders), so
     the integer-point value 0 is decided exactly, never by float rounding.
     """
-    _validate_pair(chi1, chi2)
-    _validate_args(chi1, chi2, a, c)
+    gamma = check_admissible(chi1, chi2, a, c)
     q1, q2 = chi1.modulus, chi2.modulus
     a %= c
     qc = q1 * c
@@ -159,10 +152,9 @@ def s_double_sum(chi1, chi2, a, c):
         r = (n * c + a * q1 * j) % qc
         inner += x * np.where(r == 0, 0.0, r / qc - 0.5)
     value = complex((w2 * bj * inner).sum())
-    d = 1 if c == 1 else pow(a, -1, c)
     D = max_partial_quotient(a, c // q2)
     _check_trivial_bound(value, a, c, q1, 0.0)
-    return DedekindSumResult(value, "double_sum", 0.0, d, D)
+    return DedekindSumResult(value, "double_sum", 0.0, gamma.d, D)
 
 
 def _integer_table(chi):
@@ -186,8 +178,7 @@ def s_double_sum_exact(chi1, chi2, a, c):
     With B1(j/c) = (2j - c)/(2c) off integers, the whole sum is an integer
     divided by 4*q1*c^2.
     """
-    _validate_pair(chi1, chi2)
-    _validate_args(chi1, chi2, a, c)
+    check_admissible(chi1, chi2, a, c)
     t1 = _integer_table(chi1)
     t2 = _integer_table(chi2)
     if t1 is None or t2 is None:
@@ -291,16 +282,15 @@ def phi_eval(chi1, chi2, gamma, target_error):
     psi(gamma) = chi1(d) * conj(chi2)(d). The target is split across the two
     f evaluations, so the returned bound is <= target_error.
     """
-    c = gamma.c
-    if c < 1:
-        raise ValueError("need c >= 1")
-    if c % (chi1.modulus * chi2.modulus):
-        raise DivisibilityError(
-            f"q1*q2 = {chi1.modulus * chi2.modulus} must divide c = {c}"
-        )
+    check_admissible(chi1, chi2, gamma.a, gamma.c)
+    return _phi(chi1, chi2, gamma, target_error)
+
+
+def _phi(chi1, chi2, gamma, target_error):
+    """phi_eval without the check, for a gamma that s_analytic has checked."""
     half = target_error / 2
-    fa, ba = f_eval(chi1, chi2, gamma.a, c, half)
-    fd, bd = f_eval(chi1, chi2, -gamma.d, c, half)
+    fa, ba = f_eval(chi1, chi2, gamma.a, gamma.c, half)
+    fd, bd = f_eval(chi1, chi2, -gamma.d, gamma.c, half)
     psi = chi1(gamma.d) * chi2(gamma.d).conjugate()
     return fa - psi * fd, ba + abs(psi) * bd
 
@@ -313,12 +303,10 @@ def s_analytic(chi1, chi2, a, c, target_error=1e-8):
     L ~ c*ln(1/target_error)/(2*pi) grows with c, so this is the single-query
     route; sweeps over every a mod c use s_analytic_table.
     """
-    _validate_pair(chi1, chi2)
-    _validate_args(chi1, chi2, a, c)
+    gamma = check_admissible(chi1, chi2, a, c)
     q1, q2 = chi1.modulus, chi2.modulus
     a %= c
-    gamma = complete_matrix(a, c, q1, q2)
-    phi, tb = phi_eval(chi1, chi2, gamma, target_error)
+    phi, tb = _phi(chi1, chi2, gamma, target_error)
     tau = gauss_sum(chi1.conjugate())
     value = tau / (math.pi * 1j) * phi
     bound = abs(tau) / math.pi * tb
@@ -419,10 +407,8 @@ def s_analytic_table(chi1, chi2, c, target_error=1e-8):
     unit x (with phi_eval's target_error/2) and each value serves both a and
     -d; the rows are combined with s_analytic's scalar arithmetic.
     """
-    _validate_pair(chi1, chi2)
-    q1, q2 = chi1.modulus, chi2.modulus
-    if c < 1 or c % (q1 * q2):
-        raise DivisibilityError(f"q1*q2 = {q1 * q2} must divide c = {c}")
+    check_admissible(chi1, chi2, c=c)
+    q1 = chi1.modulus
     if target_error <= 0:
         raise ValueError("target_error must be positive")
     F, fb = _f_table(chi1, chi2, c, target_error / 2)
@@ -463,7 +449,7 @@ def beta_constant(chi1, chi2, m, n, d_mod_q2):
     The L-value switches to the zeta(2) Euler product when chi1*chi2 is
     principal.
     """
-    _validate_pair(chi1, chi2)
+    check_admissible(chi1, chi2)
     prod = character_product(chi1, chi2)
     lval = l2_principal(prod.modulus) if prod.is_principal else l2_value(prod)
     t1 = gauss_sum(chi1.conjugate())
@@ -473,6 +459,13 @@ def beta_constant(chi1, chi2, m, n, d_mod_q2):
 
 
 def _korobov_distances(a, q):
+    """l = 1..q-1 and ||l*a/q||, once 1 <= a < q and gcd(a, q) = 1 are checked."""
+    if q < 2:
+        raise ValueError("need q >= 2")
+    if not 1 <= a < q:
+        raise ValueError("need 1 <= a < q")
+    if math.gcd(a, q) != 1:
+        raise CoprimalityError(f"gcd({a}, {q}) != 1")
     l = np.arange(1, q, dtype=np.int64)
     r = l * a % q
     return l, np.minimum(r, q - r) / q
@@ -480,24 +473,12 @@ def _korobov_distances(a, q):
 
 def korobov_sum_1(a, q):
     """Sum over 0 < l < q of 1/||l*a/q|| (distance to nearest integer)."""
-    if q < 2:
-        raise ValueError("need q >= 2")
-    if not 1 <= a < q:
-        raise ValueError("need 1 <= a < q")
-    if math.gcd(a, q) != 1:
-        raise CoprimalityError(f"gcd({a}, {q}) != 1")
     l, dist = _korobov_distances(a, q)
     return float((1.0 / dist).sum())
 
 
 def korobov_sum_2(a, q):
     """Sum over 0 < l < q of 1/(l * ||l*a/q||)."""
-    if q < 2:
-        raise ValueError("need q >= 2")
-    if not 1 <= a < q:
-        raise ValueError("need 1 <= a < q")
-    if math.gcd(a, q) != 1:
-        raise CoprimalityError(f"gcd({a}, {q}) != 1")
     l, dist = _korobov_distances(a, q)
     return float((1.0 / (l * dist)).sum())
 
@@ -523,13 +504,24 @@ def _korobov_table(q):
 
 def bound_ratio(chi1, chi2, a, c, target_error=1e-8, method="analytic"):
     """|S| / (D(a, c') * log^2 c'), the empirical partial-quotient-bound constant."""
-    if c // chi2.modulus < 2:
-        raise ValueError("need c' >= 2")
     if method == "analytic":
         res = s_analytic(chi1, chi2, a, c, target_error)
     elif method == "double_sum":
         res = s_double_sum(chi1, chi2, a, c)
     else:
         raise ValueError(f"unknown method {method!r}")
-    cp = c // chi2.modulus
-    return abs(res.value) / (res.max_partial_quotient * math.log(cp) ** 2)
+    return ratio_to_bound(abs(res.value), res.max_partial_quotient, c // chi2.modulus)
+
+
+def ratio_to_bound(s_abs, D, cp):
+    """|S| / (D * log^2 c'): the bound ratio of one S(a, c) with D = D(a, c')."""
+    return s_abs / (D * math.log(cp) ** 2)
+
+
+def check_agreement(analytic, double_sum, bound, a, c):
+    """|analytic - double_sum| at (a, c); CertificationError if it exceeds
+    1e-6 (for rounding) + bound (the analytic truncation bound)."""
+    dev = abs(analytic - double_sum)
+    if not dev <= 1e-6 + bound:
+        raise CertificationError(f"method disagreement {dev:.3g} at (a={a}, c={c})")
+    return dev

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from . import dedekind
 from .characters import character_from_index
 from .contfrac import expand
-from .errors import CertificationError, DivisibilityError
+from .errors import CertificationError
 
 __all__ = [
     "ScanConfig",
@@ -78,11 +78,6 @@ class LargevalRecord:
     skipped: bool
 
 
-def _resolve_pair(config):
-    (q1, i1), (q2, i2) = config.char_pair
-    return character_from_index(q1, i1), character_from_index(q2, i2)
-
-
 def _s_rows(chi1, chi2, c, method, target_error):
     """(a, d, S, truncation_bound) for every unit a mod c by the chosen route."""
     if method != "double_sum":
@@ -97,19 +92,13 @@ def _s_rows(chi1, chi2, c, method, target_error):
 
 def _scan_one_c(c, chi1, chi2, threshold, method, target_error, exceed_only):
     cp = c // chi2.modulus
-    log2cp = math.log(cp) ** 2
     count = 0
     records = []
     max_dev = 0.0
     for a, d, val, bound in _s_rows(chi1, chi2, c, method, target_error):
         if method == "both":
             ref = dedekind.s_double_sum(chi1, chi2, a, c)
-            dev = abs(val - ref.value)
-            if dev > 1e-6 + bound:
-                raise RuntimeError(
-                    f"method disagreement {dev:.3g} at (a={a}, c={c})"
-                )
-            max_dev = max(max_dev, dev)
+            max_dev = max(max_dev, dedekind.check_agreement(val, ref.value, bound, a, c))
         sabs = abs(val)
         exceeds = sabs > threshold
         if exceeds:
@@ -127,7 +116,7 @@ def _scan_one_c(c, chi1, chi2, threshold, method, target_error, exceed_only):
                     S_re=val.real,
                     S_im=val.imag,
                     S_abs=sabs,
-                    bound_ratio=sabs / (D * log2cp),
+                    bound_ratio=dedekind.ratio_to_bound(sabs, D, cp),
                     exceeds_threshold=exceeds,
                 )
             )
@@ -144,8 +133,8 @@ def scan_F(config):
     depend on the load of the other core. An empty range (C_max < q1*q2)
     gives (0, []).
     """
-    chi1, chi2 = _resolve_pair(config)
-    dedekind._validate_pair(chi1, chi2)
+    chi1, chi2 = (character_from_index(q, i) for q, i in config.char_pair)
+    dedekind.check_admissible(chi1, chi2)
     if config.C_max < 1:
         raise ValueError("C_max must be a positive integer")
     if config.alpha <= 0:
@@ -174,11 +163,7 @@ def scan_F(config):
 
 def second_moment(chi1, chi2, c, method="analytic", target_error=1e-6):
     """Sum of |S(a, c)|^2 over the phi(c) residues coprime to c."""
-    dedekind._validate_pair(chi1, chi2)
-    if c < 1 or c % (chi1.modulus * chi2.modulus):
-        raise DivisibilityError(
-            f"q1*q2 = {chi1.modulus * chi2.modulus} must divide c = {c}"
-        )
+    dedekind.check_admissible(chi1, chi2, c=c)
     total = 0.0
     for _, _, val, _ in _s_rows(chi1, chi2, c, method, target_error):
         total += abs(val) ** 2
@@ -192,7 +177,7 @@ def largeval_sweep(chi1, chi2, n, k_range, target_error=1e-8):
     the completed d satisfies d = 1 (mod c') and m = (1 - d)/c' is integral.
     Non-coprime a yields a flagged record with NaN values.
     """
-    dedekind._validate_pair(chi1, chi2)
+    dedekind.check_admissible(chi1, chi2)
     q1, q2 = chi1.modulus, chi2.modulus
     records = []
     for k in k_range:

@@ -1,9 +1,11 @@
 """End-to-end runs of the nfds entry point via main(argv)."""
+import dataclasses
 import json
 import math
 
 import pytest
 
+from newform_dedekind import dedekind
 from newform_dedekind.cli import main
 
 PAIR = ["--q1", "5", "--chi1", "legendre", "--q2", "5", "--chi2", "legendre"]
@@ -170,6 +172,20 @@ def test_certification_error_exits_one(capsys, monkeypatch):
     assert last.startswith("certification error: |S(6, 25)|")
 
 
+def test_scan_both_disagreement_exits_one(capsys, monkeypatch):
+    real = dedekind.s_double_sum
+
+    def perturbed(*args):
+        res = real(*args)
+        return dataclasses.replace(res, value=res.value + 1e-3)
+
+    monkeypatch.setattr(dedekind, "s_double_sum", perturbed)
+    rc, _, err = run(capsys, ["scan", *PAIR, "--C", "50", "--alpha", "1", "--method", "both"])
+    assert rc == 1
+    last = err.strip().split("\n")[-1]
+    assert last.startswith("certification error: method disagreement 0.001 at (a=")
+
+
 def test_moment_values(capsys):
     rc, out, _ = run(capsys, ["moment", *PAIR, "--c", "225"])
     assert rc == 0
@@ -192,6 +208,11 @@ def test_largeval_rows(capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert abs(float(cells[imain]) - 2 * int(cells[ik])) < 1e-6
+    # an empty k range is rejected, not emitted as a header-only CSV
+    rc, out, err = run(capsys, ["largeval", *PAIR, "--n", "1", "--kmin", "5", "--kmax", "4"])
+    assert rc == 2
+    assert out == ""
+    assert "validation error (ValidationError): need kmin <= kmax" in err
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from newform_dedekind import contfrac
 from newform_dedekind.contfrac import (
     ContinuedFraction,
     digit_symmetry_delta,
@@ -11,11 +12,12 @@ from newform_dedekind.contfrac import (
     matrix_factorization,
     max_partial_quotient,
     phi_count,
+    quotient_counts,
     reverse_denominator_expansion,
     to_parity_form,
 )
 from newform_dedekind.dedekind import complete_matrix
-from newform_dedekind.errors import CoprimalityError
+from newform_dedekind.errors import CertificationError, CoprimalityError
 
 
 def totients(limit):
@@ -137,6 +139,14 @@ def test_reversal_examples():
     assert reverse_denominator_expansion(2, 5).numerator == 3
 
 
+def test_reversal_check_raises_certification_error(monkeypatch):
+    # a wrong expansion of 2/5 (here 1/5) reverses to d = 1, and 2*1 != 1 mod 5
+    # must raise an exception that, unlike an assert, survives python -O
+    monkeypatch.setattr(contfrac, "expand", lambda a, c: ContinuedFraction.from_terms(0, (c,)))
+    with pytest.raises(CertificationError, match="not d/c"):
+        reverse_denominator_expansion(2, 5)
+
+
 def test_reversal_exhaustive():
     for c in range(2, 501):
         for a in range(1, c):
@@ -181,6 +191,7 @@ def test_counts_match_brute_force_small():
                     hi += 1
         assert phi_count(alpha, C) == lo
         assert g_count(alpha, C) == hi
+        assert quotient_counts(alpha, C) == (lo, hi)
 
 
 def test_counts_partition_against_totient_sum():

@@ -15,6 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from newform_dedekind.characters import character_from_index, legendre_character
 from newform_dedekind.dedekind import (
@@ -42,6 +44,7 @@ from newform_dedekind.errors import (
     ParityError,
     PrimitivityError,
 )
+from newform_dedekind.stats import ScanConfig, largeval_sweep, scan_F, second_moment
 
 LEG5 = legendre_character(5)
 LEG3 = legendre_character(3)
@@ -108,17 +111,69 @@ def test_complete_matrix_normalization_and_errors():
         complete_matrix(2, 15, 5, 5)
 
 
-def test_pair_validation_errors_are_distinct():
+# every public entry point that takes a character pair, called as
+# f(chi1, chi2, a, c), with the arguments it takes besides the pair
+@pytest.mark.parametrize(
+    "takes, call",
+    [
+        pytest.param("a, c", s_double_sum, id="s_double_sum"),
+        pytest.param("a, c", s_double_sum_exact, id="s_double_sum_exact"),
+        pytest.param("a, c", s_analytic, id="s_analytic"),
+        pytest.param("c", lambda x, y, a, c: s_analytic_table(x, y, c), id="s_analytic_table"),
+        pytest.param("c", lambda x, y, a, c: phi_eval(x, y, complete_matrix(a, c, 1, 1), 1e-8),
+                     id="phi_eval"),
+        pytest.param("c", lambda x, y, a, c: second_moment(x, y, c), id="second_moment"),
+        pytest.param("", lambda x, y, a, c: largeval_sweep(x, y, 1, range(1, 3)),
+                     id="largeval_sweep"),
+        pytest.param("", lambda x, y, a, c: beta_constant(x, y, 0, 1, 1), id="beta_constant"),
+        pytest.param("", lambda x, y, a, c: scan_F(ScanConfig((x.label, y.label), c, 1.0)),
+                     id="scan_F"),
+    ],
+)
+def test_pair_validation_errors_are_distinct(takes, call):
     with pytest.raises(ParityError):
-        s_double_sum(character_from_index(3, 1), LEG5, 1, 15)
+        call(character_from_index(3, 1), LEG5, 1, 15)
     with pytest.raises(PrimitivityError):
-        s_double_sum(character_from_index(5, 0), LEG5, 1, 25)
+        call(character_from_index(5, 0), LEG5, 1, 25)
     with pytest.raises(PrimitivityError):
-        s_double_sum(character_from_index(6, 1), character_from_index(6, 1), 1, 36)
-    with pytest.raises(CoprimalityError):
-        s_double_sum(LEG5, LEG5, 5, 25)
-    with pytest.raises(DivisibilityError):
-        s_double_sum(LEG5, LEG5, 2, 35)
+        call(character_from_index(6, 1), character_from_index(6, 1), 1, 36)
+    if "a" in takes:
+        with pytest.raises(CoprimalityError):
+            call(LEG5, LEG5, 5, 25)
+    if "c" in takes:
+        with pytest.raises(DivisibilityError):
+            call(LEG5, LEG5, 2, 35)
+
+
+@st.composite
+def gamma0_elements(draw, N):
+    """(a, b, c, d) in Gamma0(N) with c > 0; a and d range beyond (0, c)."""
+    c = N * draw(st.integers(1, 3))
+    a = draw(st.sampled_from([x for x in range(1, c) if math.gcd(x, c) == 1]))
+    d = pow(a, -1, c) + c * draw(st.integers(-2, 2))
+    a += c * draw(st.integers(-2, 2))
+    return a, (a * d - 1) // c, c, d
+
+
+@pytest.mark.parametrize(
+    "chi1, chi2",
+    [(LEG5, LEG5), (QUARTIC, QUARTIC), (QUARTIC, QUARTIC.conjugate()), (ORDER6, ORDER6)],
+    ids=["legendre5", "quartic5", "quartic5-conjugate", "order6-mod7"],
+)
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(data=st.data())
+def test_crossed_homomorphism_law(chi1, chi2, data):
+    # S(g1 g2) = S(g1) + psi(g1) S(g2) on Gamma0(q1 q2), psi(g) = chi1(d) conj(chi2)(d)
+    # (Stucker-Vennos-Young, "Dedekind sums arising from newform Eisenstein series")
+    N = chi1.modulus * chi2.modulus
+    g1 = data.draw(gamma0_elements(N))
+    g2 = data.draw(gamma0_elements(N))
+    a, c = g1[0] * g2[0] + g1[1] * g2[2], g1[2] * g2[0] + g1[3] * g2[2]
+    assume(c > 0)
+    psi = chi1(g1[3]) * chi2(g1[3]).conjugate()
+    s1 = s_double_sum(chi1, chi2, g1[0], g1[2]).value
+    s2 = s_double_sum(chi1, chi2, g2[0], g2[2]).value
+    assert abs(s_double_sum(chi1, chi2, a, c).value - s1 - psi * s2) < 1e-9
 
 
 def test_double_sum_vanishes_at_one():
