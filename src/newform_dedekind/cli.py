@@ -13,6 +13,8 @@ import math
 import random
 import sys
 
+import numpy as np
+
 from . import characters, contfrac, dedekind, stats
 from .errors import CertificationError, ValidationError
 
@@ -171,11 +173,10 @@ def _suite_korobov(args):
         a_vals, s1, s2, D = dedekind._korobov_table(q)
         lim1 = 2 * q * math.log(q)
         lim2 = 18 * D * math.log(q) ** 2
-        for i in range(len(a_vals)):
-            if s1[i] > lim1:
-                failures.append(f"korobov: sum_1({a_vals[i]}, {q}) = {s1[i]:.6g} > {lim1:.6g}")
-            if s2[i] > lim2[i]:
-                failures.append(f"korobov: sum_2({a_vals[i]}, {q}) = {s2[i]:.6g} > {lim2[i]:.6g}")
+        for i in np.nonzero(s1 > lim1)[0]:
+            failures.append(f"korobov: sum_1({a_vals[i]}, {q}) = {s1[i]:.6g} > {lim1:.6g}")
+        for i in np.nonzero(s2 > lim2)[0]:
+            failures.append(f"korobov: sum_2({a_vals[i]}, {q}) = {s2[i]:.6g} > {lim2[i]:.6g}")
         if q > 2 and rng.random() < 0.05:
             i = rng.randrange(len(a_vals))
             spot.append((int(a_vals[i]), q, float(s1[i]), float(s2[i])))
@@ -188,6 +189,13 @@ def _suite_korobov(args):
     return failures
 
 
+def _random_unit(rng, c):
+    while True:
+        a = rng.randint(1, c - 1)
+        if math.gcd(a, c) == 1:
+            return a
+
+
 def _suite_agreement(args):
     failures = []
     rng = random.Random(args.seed)
@@ -196,10 +204,7 @@ def _suite_agreement(args):
     cmax = args.cmax if args.cmax is not None else 2000
     for _ in range(args.trials):
         c = q1q2 * rng.randint(1, max(1, cmax // q1q2))
-        while True:
-            a = rng.randint(1, c - 1)
-            if math.gcd(a, c) == 1:
-                break
+        a = _random_unit(rng, c)
         exact = dedekind.s_double_sum(chi1, chi2, a, c)
         approx = dedekind.s_analytic(chi1, chi2, a, c, args.eps)
         try:
@@ -209,30 +214,79 @@ def _suite_agreement(args):
     return failures
 
 
+_CF_SAMPLE = 100  # pairs on which the cf suite checks the scalar functions
+
+
+def _convergents(partials, n):
+    """(p_n, q_n, p_{n-1}, q_{n-1}) of [0; a1, ..., an] for every row, the
+    digits in the first n columns of partials."""
+    p_prev, p = np.ones(n.size, np.int64), np.zeros(n.size, np.int64)
+    q_prev, q = np.zeros(n.size, np.int64), np.ones(n.size, np.int64)
+    for k in range(partials.shape[1]):
+        x, live = partials[:, k], k < n
+        p_prev, p = np.where(live, p, p_prev), np.where(live, x * p + p_prev, p)
+        q_prev, q = np.where(live, q, q_prev), np.where(live, x * q + q_prev, q)
+    return p, q, p_prev, q_prev
+
+
 def _suite_cf(args):
+    """Every unit a mod c, c <= cmax, from one Euclid table per c: the odd
+    expansion's convergent is a/c, its matrix is (a b; c d) with det 1, its
+    reversal is d/c with a*d = 1 mod c, and |D(a, c) - D(d, c)| <= 1. A seeded
+    sample of pairs checks the public scalar functions against the table."""
     failures = []
     cmax = args.cmax if args.cmax is not None else 500
+    rng = random.Random(args.seed)
+    sample = {}
+    for _ in range(_CF_SAMPLE if cmax >= 2 else 0):
+        c = rng.randint(2, cmax)
+        sample.setdefault(c, []).append(_random_unit(rng, c))
     for c in range(2, cmax + 1):
-        for a in range(1, c):
-            if math.gcd(a, c) != 1:
+        partials, n, g = contfrac._euclid_table(c)
+        D = partials.max(axis=1, initial=0)
+        unit = g == 1
+        a = np.nonzero(unit)[0] + 1
+        # [..., x] = [..., x - 1, 1] makes every digit count odd
+        odd = np.pad(partials[unit], ((0, 0), (0, 1)))
+        n = n[unit]
+        even = np.nonzero(n % 2 == 0)[0]
+        odd[even, n[even] - 1] -= 1
+        odd[even, n[even]] = 1
+        n[even] += 1
+        back = n[:, None] - 1 - np.arange(odd.shape[1])
+        rev = np.where(back >= 0, np.take_along_axis(odd, np.maximum(back, 0), axis=1), 0)
+        p, q, b, d_col = _convergents(odd, n)
+        d, den, _, _ = _convergents(rev, n)
+        ok_rev = (den == c) & (0 < d) & (d < c) & (a * d % c == 1)
+        delta = D[a - 1] - D[np.where(ok_rev, d, a) - 1]
+        checks = (
+            ("convergent is not a/c", (p == a) & (q == c)),
+            ("matrix is not (a b; c d) with det 1",
+             (p * d_col - b * q == 1) & (d_col == d) & (b * c == a * d - 1)),
+            ("reversal is not d/c with a*d = 1 mod c", ok_rev),
+            ("|D(a, c) - D(d, c)| > 1", np.abs(delta) <= 1),
+        )
+        for what, ok in checks:
+            failures.extend(f"cf: {what} at ({a[i]}, {c})" for i in np.nonzero(~ok)[0])
+        for x in sample.get(c, ()):
+            i = int(np.searchsorted(a, x))
+            if i == a.size or a[i] != x:
+                failures.append(f"cf: the table lists {x} as no unit mod {c}")
                 continue
-            rev = contfrac.reverse_denominator_expansion(a, c)
-            if a * rev.numerator % c != 1:
-                failures.append(f"cf: reversal wrong inverse at ({a}, {c})")
-            if abs(contfrac.digit_symmetry_delta(a, c)) > 1:
-                failures.append(f"cf: |delta| > 1 at ({a}, {c})")
-    for c in range(2, min(cmax, 300) + 1):
-        for a in range(1, c):
-            if math.gcd(a, c) != 1:
-                continue
-            odd = contfrac.to_parity_form(contfrac.expand(a, c), want_odd_n=True)
-            m = contfrac.matrix_factorization(odd)
-            det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            gamma = dedekind.complete_matrix(a, c, 1, 1)
-            if det != 1 or (m[0][0], m[1][0]) != (a, c):
-                failures.append(f"cf: matrix det/column wrong at ({a}, {c})")
-            if (m[0][1], m[1][1]) != (gamma.b, gamma.d):
-                failures.append(f"cf: matrix b/d entries wrong at ({a}, {c})")
+            want = ((x, int(b[i])), (c, int(d_col[i])))
+            try:
+                r = contfrac.reverse_denominator_expansion(x, c)
+                if r.partials != tuple(rev[i, :n[i]].tolist()) or r.numerator != d[i]:
+                    failures.append(f"cf: reverse_denominator_expansion({x}, {c}) = {r} "
+                                    "disagrees with the table")
+                if contfrac.digit_symmetry_delta(x, c) != delta[i]:
+                    failures.append(f"cf: digit_symmetry_delta({x}, {c}) disagrees with "
+                                    "the table")
+                odd_cf = contfrac.to_parity_form(contfrac.expand(x, c), want_odd_n=True)
+                if contfrac.matrix_factorization(odd_cf) != want:
+                    failures.append(f"cf: matrix_factorization of {odd_cf} is not {want}")
+            except CertificationError as err:
+                failures.append(f"cf: {err}")
     return failures
 
 

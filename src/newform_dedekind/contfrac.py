@@ -186,40 +186,91 @@ def digit_symmetry_delta(a, c):
     return delta
 
 
-def _max_quotient_table(c):
-    """Vectorized Euclid over all numerators at once.
+def _euclid_table(c):
+    """Vectorized Euclid over all numerators a = 1..c-1 at once.
 
-    Returns (D, g): for a = 1..c-1, D[a-1] is the largest partial quotient of
-    a/c and g[a-1] = gcd(a, c).
+    Returns (partials, n, g): row a-1 of the int64 matrix partials holds the
+    partial quotients of a/c in its first n[a-1] columns and zeros after
+    them, and g[a-1] = gcd(a, c).
     """
-    a = np.arange(1, c, dtype=np.int64)
-    x = np.full_like(a, c)
-    y = a.copy()
-    best = np.zeros_like(a)
-    while True:
-        live = np.nonzero(y > 0)[0]
-        if live.size == 0:
-            break
-        q = x[live] // y[live]
-        np.maximum.at(best, live, q)
-        x[live], y[live] = y[live], x[live] - q * y[live]
-    return best, x
+    live = np.arange(c - 1)  # indices a-1 whose Euclid has not finished
+    x = np.full(c - 1, c, dtype=np.int64)
+    y = live + 1
+    n = np.empty_like(y)
+    g = np.empty_like(y)
+    columns = []
+    while live.size:
+        q = x // y
+        columns.append((live, q))
+        x, y = y, x - q * y
+        done = y == 0
+        n[live[done]] = len(columns)
+        g[live[done]] = x[done]
+        more = ~done
+        live, x, y = live[more], x[more], y[more]
+    # filled column by column, so each column is contiguous
+    partials = np.zeros((len(columns), c - 1), dtype=np.int64)
+    for k, (rows, q) in enumerate(columns):
+        partials[k, rows] = q
+    return partials.T, n, g
+
+
+def _max_quotient_table(c):
+    """(D, g): for a = 1..c-1, D[a-1] is the largest partial quotient of a/c
+    and g[a-1] = gcd(a, c)."""
+    partials, _, g = _euclid_table(c)
+    return partials.max(axis=1, initial=0), g
+
+
+_WALK_BLOCK = 1 << 12  # prefixes taken from the stack per step of quotient_counts
 
 
 def quotient_counts(alpha, C):
     """(phi_count, g_count): the pairs 1 < a < c <= C with gcd(a, c) = 1 split
-    by D(a, c) <= alpha*log C, from one Euclid table per c."""
+    by D(a, c) <= alpha*log C.
+
+    These pairs are the canonical expansions a/c = [0; a1, ..., an] with
+    n >= 2, an >= 2 and denominator q_n <= C. One depth-first walk visits
+    each prefix [0; a1, ..., ak] once, held as (q_{k-1}, q_k) and whether
+    some ai exceeds M = floor(alpha*log C). Each final digit
+    2 <= x <= (C - q_{k-1}) // q_k completes one pair, counted in phi when
+    neither the prefix nor x exceeds M and in g otherwise. Prefixes are
+    taken from the stack in blocks of at most _WALK_BLOCK.
+    """
     if C < 3:
         raise ValueError("need C >= 3")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("need alpha > 0")
-    limit = alpha * math.log(C)
+    M = math.floor(min(alpha * math.log(C), C))
+    # rows q_{k-1}, q_k, flag; a prefix is stacked only if it admits a final
+    # digit 2 <= x, i.e. 2*q_k + q_{k-1} <= C, starting from [0; a1]
+    a1 = np.arange(1, (C - 1) // 2 + 1, dtype=np.int64)
+    stack = np.stack([np.ones_like(a1), a1, a1 > M])
+    top = a1.size
     phi = g = 0
-    for c in range(3, C + 1):
-        D, gcd = _max_quotient_table(c)
-        D = D[(gcd == 1) & (np.arange(1, c) > 1)]
-        phi += int((D <= limit).sum())
-        g += int((D > limit).sum())
+    while top:
+        lo = max(0, top - _WALK_BLOCK)
+        prev, q, big = stack[:, lo:top]
+        top = lo
+        last = (C - prev) // q
+        # final digits 2..last, of which 2..min(last, M) keep D <= M
+        low = int(np.where(big == 0, np.clip(np.minimum(last, M) - 1, 0, None), 0).sum())
+        phi += low
+        g += int((last - 1).sum()) - low
+        # children: next digits x >= 1 that still admit a final digit
+        kids = np.maximum((C - q - 2 * prev) // (2 * q), 0)
+        total = int(kids.sum())
+        if not total:
+            continue
+        parent = np.repeat(np.arange(q.size), kids)
+        x = np.arange(1, total + 1) - np.repeat(np.cumsum(kids) - kids, kids)
+        children = np.stack([q[parent], x * q[parent] + prev[parent], big[parent] | (x > M)])
+        if top + total > stack.shape[1]:
+            grown = np.empty((3, max(2 * stack.shape[1], top + total)), np.int64)
+            grown[:, :top] = stack[:, :top]
+            stack = grown
+        stack[:, top:top + total] = children
+        top += total
     return phi, g
 
 
@@ -239,6 +290,6 @@ def hensley_prediction(alpha, C):
     Computed for any positive inputs; the asymptotic is only meaningful for
     large C and alpha > 4/log log C.
     """
-    if alpha <= 0 or C <= 0:
+    if not (alpha > 0 and C > 0):
         raise ValueError("need alpha > 0 and C > 0")
     return 3 / math.pi**2 * C * C * math.exp(-12 / (alpha * math.pi**2))

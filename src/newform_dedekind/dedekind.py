@@ -495,9 +495,10 @@ def _korobov_table(q):
     unit = g == 1
     a_vals = np.nonzero(unit)[0] + 1
     l = np.arange(1, q, dtype=np.int64)
+    # l -> l*a permutes 1..q-1, so sum_1 is the same for every a
+    s1 = np.full(a_vals.size, (q / np.minimum(l, q - l)).sum())
     r = a_vals[:, None] * l[None, :] % q
     dist = np.minimum(r, q - r) / q
-    s1 = (1.0 / dist).sum(axis=1)
     s2 = (1.0 / (l * dist)).sum(axis=1)
     return a_vals, s1, s2, D_all[unit]
 

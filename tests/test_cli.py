@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from newform_dedekind import dedekind
+from newform_dedekind import contfrac, dedekind
 from newform_dedekind.cli import main
+from newform_dedekind.contfrac import ContinuedFraction
 
 PAIR = ["--q1", "5", "--chi1", "legendre", "--q2", "5", "--chi2", "legendre"]
 
@@ -109,6 +110,45 @@ def test_hensley_huge_alpha_admits_everything(capsys):
     assert rc == 0
     got = dict(line.split(" = ") for line in out.strip().split("\n"))
     assert got["phi_count"] == "22" and got["g_count"] == "0"
+
+
+def test_hensley_alpha_nan_is_rejected_and_inf_admits_everything(capsys):
+    rc, out, err = run(capsys, ["hensley", "--C", "50", "--alpha", "nan"])
+    assert rc == 2
+    assert out == ""
+    assert "validation error: need alpha > 0" in err
+    rc, out, _ = run(capsys, ["hensley", "--C", "50", "--alpha", "inf"])
+    assert rc == 0
+    got = dict(line.split(" = ") for line in out.strip().split("\n"))
+    assert got["phi_count"] == "724" and got["g_count"] == "0"
+
+
+def test_verify_cf_reports_broken_expand_per_pair(capsys, monkeypatch):
+    # every scalar check goes through expand; the tables do not
+    monkeypatch.setattr(contfrac, "expand", lambda a, c: ContinuedFraction.from_terms(0, (c,)))
+    rc, out, err = run(capsys, ["verify", "--suite", "cf", "--cmax", "40"])
+    assert rc == 1
+    fails = [line for line in err.splitlines() if line.startswith("FAIL cf: ")]
+    assert len(fails) > 1
+    assert out == f"verify cf: {len(fails)} failure(s)\n"
+    assert "Traceback" not in err and "certification error" not in err
+
+
+def test_verify_cf_fails_on_a_perturbed_euclid_table(capsys, monkeypatch):
+    real = contfrac._euclid_table
+
+    def perturbed(c):
+        partials, n, g = real(c)
+        if c == 7:
+            partials = partials.copy()
+            partials[2, 0] += 1  # 3/7 = [0;2,3] read as [0;3,3]
+        return partials, n, g
+
+    monkeypatch.setattr(contfrac, "_euclid_table", perturbed)
+    rc, out, err = run(capsys, ["verify", "--suite", "cf", "--cmax", "40"])
+    assert rc == 1
+    assert "FAIL cf: convergent is not a/c at (3, 7)" in err.splitlines()
+    assert out.startswith("verify cf: ") and out.endswith(" failure(s)\n")
 
 
 def test_scan_stdout(capsys):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from newform_dedekind import contfrac
@@ -174,6 +175,66 @@ def test_delta_bounded_exhaustive():
         for a in range(1, c):
             if math.gcd(a, c) == 1:
                 assert abs(digit_symmetry_delta(a, c)) <= 1
+
+
+def reference_D(c):
+    """D(a, c) for the units 1 < a < c, from a per-c vectorized Euclid: the
+    route quotient_counts took before its walk over the expansions."""
+    a = np.arange(1, c, dtype=np.int64)
+    x = np.full_like(a, c)
+    y = a.copy()
+    best = np.zeros_like(a)
+    while True:
+        live = np.nonzero(y > 0)[0]
+        if live.size == 0:
+            break
+        q = x[live] // y[live]
+        np.maximum.at(best, live, q)
+        x[live], y[live] = y[live], x[live] - q * y[live]
+    return best[(x == 1) & (a > 1)]
+
+
+def reference_counts(tables, alpha, C):
+    """(phi, g) at (alpha, C) from tables[c] = reference_D(c)."""
+    limit = alpha * math.log(C)
+    phi = g = 0
+    for c in range(3, C + 1):
+        phi += int((tables[c] <= limit).sum())
+        g += int((tables[c] > limit).sum())
+    return phi, g
+
+
+def test_euclid_table_rows_are_the_expansions():
+    for c in range(1, 201):
+        partials, n, g = contfrac._euclid_table(c)
+        assert partials.shape[0] == n.size == g.size == c - 1
+        for a in range(1, c):
+            assert g[a - 1] == math.gcd(a, c)
+            if g[a - 1] == 1:
+                assert tuple(partials[a - 1, :n[a - 1]]) == expand(a, c).partials
+                assert not partials[a - 1, n[a - 1]:].any()
+
+
+def test_quotient_counts_walk_matches_per_c_euclid():
+    tables = {c: reference_D(c) for c in range(3, 121)}
+    for C in range(3, 121):
+        for alpha in (0.3, 0.5, 1, 1.5, 2, 3, 1e9, math.inf):
+            assert quotient_counts(alpha, C) == reference_counts(tables, alpha, C), (C, alpha)
+
+
+def test_quotient_counts_walk_matches_per_c_euclid_at_1000():
+    tables = {c: reference_D(c) for c in range(3, 1001)}
+    for alpha in (1, 2):
+        assert quotient_counts(alpha, 1000) == reference_counts(tables, alpha, 1000)
+
+
+def test_quotient_counts_nan_and_infinite_alpha():
+    with pytest.raises(ValueError, match="alpha > 0"):
+        quotient_counts(math.nan, 50)
+    with pytest.raises(ValueError, match="alpha > 0"):
+        hensley_prediction(math.nan, 50)
+    assert quotient_counts(math.inf, 50) == (724, 0)
+    assert hensley_prediction(math.inf, 50) == 3 / math.pi**2 * 50**2
 
 
 def test_counts_match_brute_force_small():

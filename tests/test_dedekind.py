@@ -469,6 +469,16 @@ def test_korobov_bounds_small_moduli():
             assert korobov_sum_2(a, q) <= 18 * D * logq**2 + 1e-9
 
 
+def test_korobov_table_sum_1_is_the_per_a_sum():
+    # the table computes sum_1 once per q; the per-a definition must agree
+    for q in range(2, 80):
+        a_vals, s1, s2, D = dedekind._korobov_table(q)
+        assert s1.shape == s2.shape == D.shape == a_vals.shape
+        for a, v1, v2 in zip(a_vals, s1, s2):
+            assert abs(korobov_sum_1(int(a), q) - v1) <= 1e-12 * v1
+            assert abs(korobov_sum_2(int(a), q) - v2) <= 1e-12 * v2
+
+
 def test_korobov_validation():
     with pytest.raises(CoprimalityError):
         korobov_sum_1(2, 4)
