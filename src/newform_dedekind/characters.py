@@ -69,6 +69,17 @@ def _crt_lift(x, m, q):
     return (x * rest * pow(rest, -1, m) + m * pow(m, -1, rest)) % q
 
 
+def _powers(g, count, m):
+    """int64 array of g^t mod m for t = 0..count-1, by doubling (needs m^2 < 2^63)."""
+    out = np.ones(count, dtype=np.int64)
+    done = 1
+    while done < count:
+        step = min(done, count - done)
+        out[done:done + step] = out[:step] * pow(g, done, m) % m
+        done += step
+    return out
+
+
 @lru_cache(maxsize=None)
 def _unit_group(q):
     """Canonical cyclic decomposition of (Z/q)* with discrete-log tables.
@@ -80,7 +91,7 @@ def _unit_group(q):
     if q < 1:
         raise ValueError("modulus must be a positive integer")
     comps = []
-    tables = []  # parallel list of (piece_modulus, dlog dict)
+    tables = []  # parallel list of (piece_modulus, dlog array; -1 off units)
     for p, e in _factorize(q):
         pe = p**e
         if p == 2:
@@ -88,36 +99,31 @@ def _unit_group(q):
                 continue
             if e == 2:
                 comps.append((2, _crt_lift(3, 4, q)))
-                tables.append((4, {1: 0, 3: 1}))
+                tables.append((4, np.array([-1, 0, -1, 1])))
             else:
+                # every unit is (-1)^eps * 5^b mod 2^e, eps < 2, b < 2^(e-2)
                 s = pe // 4
-                sign = {}
-                five = {}
-                for eps in range(2):
-                    for b in range(s):
-                        r = pow(pe - 1, eps, pe) * pow(5, b, pe) % pe
-                        sign[r] = eps
-                        five[r] = b
+                five = _powers(5, s, pe)
+                sign = np.full(pe, -1, dtype=np.int64)
+                sign[five], sign[pe - five] = 0, 1
+                dlog = np.full(pe, -1, dtype=np.int64)
+                dlog[five] = dlog[pe - five] = np.arange(s)
                 comps.append((2, _crt_lift(pe - 1, pe, q)))
                 tables.append((pe, sign))
                 comps.append((s, _crt_lift(5, pe, q)))
-                tables.append((pe, five))
+                tables.append((pe, dlog))
         else:
             s = pe - pe // p
             g = _smallest_primitive_root(pe, s)
-            dlog = {}
-            x = 1
-            for t in range(s):
-                dlog[x] = t
-                x = x * g % pe
+            dlog = np.full(pe, -1, dtype=np.int64)
+            dlog[_powers(g, s, pe)] = np.arange(s)
             comps.append((s, _crt_lift(g, pe, q)))
             tables.append((pe, dlog))
-    k = len(comps)
-    logmap = np.full((q, k), -1, dtype=np.int64)
-    for n in range(q):
-        if math.gcd(n, q) == 1:
-            for i, (m, dlog) in enumerate(tables):
-                logmap[n, i] = dlog[n % m]
+    logmap = np.full((q, len(comps)), -1, dtype=np.int64)
+    n = np.arange(q)
+    units = n[np.gcd(n, q) == 1]
+    for i, (m, dlog) in enumerate(tables):
+        logmap[units, i] = dlog[units % m]
     exponent = math.lcm(*(s for s, _ in comps)) if comps else 1
     return tuple(comps), logmap, exponent
 

@@ -169,8 +169,7 @@ def _suite_korobov(args):
     failures = []
     rng = random.Random(args.seed)
     spot = []
-    for q in range(2, args.qmax + 1):
-        a_vals, s1, s2, D = dedekind._korobov_table(q)
+    for q, a_vals, s1, s2, D in dedekind._korobov_tables(2, args.qmax):
         lim1 = 2 * q * math.log(q)
         lim2 = 18 * D * math.log(q) ** 2
         for i in np.nonzero(s1 > lim1)[0]:
@@ -230,25 +229,24 @@ def _convergents(partials, n):
 
 
 def _suite_cf(args):
-    """Every unit a mod c, c <= cmax, from one Euclid table per c: the odd
-    expansion's convergent is a/c, its matrix is (a b; c d) with det 1, its
-    reversal is d/c with a*d = 1 mod c, and |D(a, c) - D(d, c)| <= 1. A seeded
-    sample of pairs checks the public scalar functions against the table."""
+    """Every unit a mod c, c <= cmax, from one Euclid pass per block of
+    moduli: the odd expansion's convergent is a/c, its matrix is (a b; c d)
+    with det 1, its reversal is d/c with a*d = 1 mod c, and
+    |D(a, c) - D(d, c)| <= 1. A seeded sample of pairs checks the public
+    scalar functions against the table. Failures are listed by c, then by
+    check and a, then the sample's."""
     failures = []
     cmax = args.cmax if args.cmax is not None else 500
     rng = random.Random(args.seed)
     sample = {}
-    for _ in range(_CF_SAMPLE if cmax >= 2 else 0):
+    for _ in range(_CF_SAMPLE):
         c = rng.randint(2, cmax)
         sample.setdefault(c, []).append(_random_unit(rng, c))
-    for c in range(2, cmax + 1):
-        partials, n, g = contfrac._euclid_table(c)
-        D = partials.max(axis=1, initial=0)
-        unit = g == 1
-        a = np.nonzero(unit)[0] + 1
+    for a, c in contfrac._unit_blocks(2, cmax):
+        partials, n, _ = contfrac._euclid_rows(a, c)
+        D = partials.max(axis=1)
         # [..., x] = [..., x - 1, 1] makes every digit count odd
-        odd = np.pad(partials[unit], ((0, 0), (0, 1)))
-        n = n[unit]
+        odd = np.pad(partials, ((0, 0), (0, 1)))
         even = np.nonzero(n % 2 == 0)[0]
         odd[even, n[even] - 1] -= 1
         odd[even, n[even]] = 1
@@ -258,7 +256,9 @@ def _suite_cf(args):
         p, q, b, d_col = _convergents(odd, n)
         d, den, _, _ = _convergents(rev, n)
         ok_rev = (den == c) & (0 < d) & (d < c) & (a * d % c == 1)
-        delta = D[a - 1] - D[np.where(ok_rev, d, a) - 1]
+        # rows run by c then a, so (c, a) -> row is a search on this key
+        key = c * (cmax + 1) + a
+        delta = D - D[np.searchsorted(key, c * (cmax + 1) + np.where(ok_rev, d, a))]
         checks = (
             ("convergent is not a/c", (p == a) & (q == c)),
             ("matrix is not (a b; c d) with det 1",
@@ -266,28 +266,40 @@ def _suite_cf(args):
             ("reversal is not d/c with a*d = 1 mod c", ok_rev),
             ("|D(a, c) - D(d, c)| > 1", np.abs(delta) <= 1),
         )
-        for what, ok in checks:
-            failures.extend(f"cf: {what} at ({a[i]}, {c})" for i in np.nonzero(~ok)[0])
-        for x in sample.get(c, ()):
-            i = int(np.searchsorted(a, x))
-            if i == a.size or a[i] != x:
-                failures.append(f"cf: the table lists {x} as no unit mod {c}")
-                continue
-            want = ((x, int(b[i])), (c, int(d_col[i])))
-            try:
-                r = contfrac.reverse_denominator_expansion(x, c)
-                if r.partials != tuple(rev[i, :n[i]].tolist()) or r.numerator != d[i]:
-                    failures.append(f"cf: reverse_denominator_expansion({x}, {c}) = {r} "
-                                    "disagrees with the table")
-                if contfrac.digit_symmetry_delta(x, c) != delta[i]:
-                    failures.append(f"cf: digit_symmetry_delta({x}, {c}) disagrees with "
-                                    "the table")
-                odd_cf = contfrac.to_parity_form(contfrac.expand(x, c), want_odd_n=True)
-                if contfrac.matrix_factorization(odd_cf) != want:
-                    failures.append(f"cf: matrix_factorization of {odd_cf} is not {want}")
-            except CertificationError as err:
-                failures.append(f"cf: {err}")
+        found = []  # (c, check, a or sample position, line)
+        for k, (what, ok) in enumerate(checks):
+            found.extend((c[i], k, a[i], f"cf: {what} at ({a[i]}, {c[i]})")
+                         for i in np.nonzero(~ok)[0])
+        for cc in range(int(c[0]), int(c[-1]) + 1):
+            for j, x in enumerate(sample.get(cc, ())):
+                i = int(np.searchsorted(key, cc * (cmax + 1) + x))
+                if i == key.size or key[i] != cc * (cmax + 1) + x:
+                    lines = [f"cf: the table lists {x} as no unit mod {cc}"]
+                else:
+                    lines = _cf_scalar_failures(x, cc, rev[i, :n[i]], d[i], delta[i],
+                                                ((x, int(b[i])), (cc, int(d_col[i]))))
+                found.extend((cc, len(checks), j, line) for line in lines)
+        failures.extend(line for *_, line in sorted(found, key=lambda f: f[:3]))
     return failures
+
+
+def _cf_scalar_failures(a, c, rev, d, delta, matrix):
+    """The public scalar functions at the unit a mod c against the table's
+    reversal digits rev of d/c, D(a, c) - D(d, c) = delta and odd matrix."""
+    out = []
+    try:
+        r = contfrac.reverse_denominator_expansion(a, c)
+        if r.partials != tuple(rev.tolist()) or r.numerator != d:
+            out.append(f"cf: reverse_denominator_expansion({a}, {c}) = {r} "
+                       "disagrees with the table")
+        if contfrac.digit_symmetry_delta(a, c) != delta:
+            out.append(f"cf: digit_symmetry_delta({a}, {c}) disagrees with the table")
+        odd_cf = contfrac.to_parity_form(contfrac.expand(a, c), want_odd_n=True)
+        if contfrac.matrix_factorization(odd_cf) != matrix:
+            out.append(f"cf: matrix_factorization of {odd_cf} is not {matrix}")
+    except CertificationError as err:
+        out.append(f"cf: {err}")
+    return out
 
 
 _SUITES = {
@@ -297,9 +309,19 @@ _SUITES = {
     "cf": _suite_cf,
 }
 
+# each suite's size flag and the least value at which it checks anything
+_SUITE_SIZES = {"dw": ("kmax", 1), "korobov": ("qmax", 2), "agreement": ("trials", 1),
+                "cf": ("cmax", 2)}
+
 
 def cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    for name in names:
+        flag, least = _SUITE_SIZES[name]
+        value = getattr(args, flag)
+        if value is not None and value < least:
+            raise ValidationError(f"--{flag} {value} leaves the {name} suite nothing to "
+                                  f"check: need --{flag} >= {least}")
     failures = []
     for name in names:
         failures.extend(_SUITES[name](args))

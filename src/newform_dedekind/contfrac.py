@@ -186,16 +186,18 @@ def digit_symmetry_delta(a, c):
     return delta
 
 
-def _euclid_table(c):
-    """Vectorized Euclid over all numerators a = 1..c-1 at once.
+def _euclid_rows(a, c):
+    """Vectorized Euclid on the pairs (a[i], c[i]), 0 < a < c, at once.
 
-    Returns (partials, n, g): row a-1 of the int64 matrix partials holds the
-    partial quotients of a/c in its first n[a-1] columns and zeros after
-    them, and g[a-1] = gcd(a, c).
+    Returns (partials, n, g): row i of the int64 matrix partials holds the
+    partial quotients of a[i]/c[i] in its first n[i] columns and zeros after
+    them, and g[i] = gcd(a[i], c[i]).
     """
-    live = np.arange(c - 1)  # indices a-1 whose Euclid has not finished
-    x = np.full(c - 1, c, dtype=np.int64)
-    y = live + 1
+    y = np.asarray(a, dtype=np.int64)
+    x = np.broadcast_to(np.asarray(c, dtype=np.int64), y.shape).copy()
+    if y.ndim != 1 or not ((0 < y) & (y < x)).all():
+        raise ValueError("need a one-dimensional array of pairs with 0 < a < c")
+    live = np.arange(y.size)  # rows whose Euclid has not finished
     n = np.empty_like(y)
     g = np.empty_like(y)
     columns = []
@@ -209,10 +211,15 @@ def _euclid_table(c):
         more = ~done
         live, x, y = live[more], x[more], y[more]
     # filled column by column, so each column is contiguous
-    partials = np.zeros((len(columns), c - 1), dtype=np.int64)
+    partials = np.zeros((len(columns), n.size), dtype=np.int64)
     for k, (rows, q) in enumerate(columns):
         partials[k, rows] = q
     return partials.T, n, g
+
+
+def _euclid_table(c):
+    """_euclid_rows for every numerator a = 1..c-1 (row a-1)."""
+    return _euclid_rows(np.arange(1, c), c)
 
 
 def _max_quotient_table(c):
@@ -220,6 +227,28 @@ def _max_quotient_table(c):
     and g[a-1] = gcd(a, c)."""
     partials, _, g = _euclid_table(c)
     return partials.max(axis=1, initial=0), g
+
+
+_PAIR_BLOCK = 1 << 11  # numerators 0 < a < c per block of _unit_blocks; bounds peak RSS
+
+
+def _unit_blocks(lo, hi):
+    """The pairs (a, c) with lo <= c <= hi, 0 < a < c and gcd(a, c) = 1,
+    ordered by c then a, as int64 arrays (a, c) per block of consecutive
+    moduli. A block spans at most _PAIR_BLOCK numerators (units or not), or
+    a single modulus."""
+    start = max(lo, 2)
+    while start <= hi:
+        stop, size = start + 1, start - 1
+        while stop <= hi and size + stop - 1 <= _PAIR_BLOCK:
+            size += stop - 1
+            stop += 1
+        moduli = np.arange(start, stop, dtype=np.int64)
+        c = np.repeat(moduli, moduli - 1)
+        a = np.arange(1, size + 1) - np.repeat(np.cumsum(moduli - 1) - (moduli - 1), moduli - 1)
+        unit = np.gcd(a, c) == 1
+        yield a[unit], c[unit]
+        start = stop
 
 
 _WALK_BLOCK = 1 << 12  # prefixes taken from the stack per step of quotient_counts

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .characters import (
+    _unit_group,
     character_product,
     gauss_sum,
     is_primitive,
@@ -28,7 +29,7 @@ from .characters import (
     l2_value,
     legendre_character,
 )
-from .contfrac import max_partial_quotient
+from .contfrac import _euclid_rows, _unit_blocks, max_partial_quotient
 from .errors import (
     CertificationError,
     CoprimalityError,
@@ -483,24 +484,77 @@ def korobov_sum_2(a, q):
     return float((1.0 / (l * dist)).sum())
 
 
-def _korobov_table(q):
-    """Both Korobov sums for every unit a mod q at once.
+def _unit_correlate(w, h, m):
+    """T(b) = sum over units u mod m of w(u) * h(u*b mod m), for every unit b.
 
-    Returns (a_values, sum1, sum2, D) with D[i] the largest partial quotient
-    of a_values[i]/q; vectorized over (a, l) for the q <= 1000 sweeps.
+    w and h are float arrays indexed by residue mod m, read at units only;
+    T comes back indexed the same way, 0 off units. On the discrete-log grid
+    of the cyclic decomposition of (Z/m)^*, u*b adds log vectors, so T is a
+    cross-correlation there, computed with real FFTs.
     """
-    from .contfrac import _max_quotient_table
+    comps, logmap, _ = _unit_group(m)
+    n = np.arange(m)
+    units = n[np.gcd(n, m) == 1]
+    out = np.zeros(m)
+    if not comps:  # m <= 2: the group is trivial
+        out[units] = w[units] * h[units]
+        return out
+    shape = tuple(s for s, _ in comps)
+    cells = tuple(logmap[units].T)
+    W = np.zeros(shape)
+    H = np.zeros(shape)
+    W[cells], H[cells] = w[units], h[units]
+    T = np.fft.irfftn(np.conj(np.fft.rfftn(W)) * np.fft.rfftn(H), s=shape,
+                      axes=range(len(shape)))
+    out[units] = T[cells]
+    return out
 
-    D_all, g = _max_quotient_table(q)
-    unit = g == 1
-    a_vals = np.nonzero(unit)[0] + 1
-    l = np.arange(1, q, dtype=np.int64)
-    # l -> l*a permutes 1..q-1, so sum_1 is the same for every a
-    s1 = np.full(a_vals.size, (q / np.minimum(l, q - l)).sum())
-    r = a_vals[:, None] * l[None, :] % q
-    dist = np.minimum(r, q - r) / q
-    s2 = (1.0 / (l * dist)).sum(axis=1)
-    return a_vals, s1, s2, D_all[unit]
+
+def _korobov_kernel(m):
+    """K_m(b) = sum over units u mod m (1 <= u < m) of m / (u * min(r, m - r)),
+    r = u*b mod m, for every unit b (indexed by residue, 0 off units)."""
+    r = np.arange(1, m)
+    w = np.zeros(m)
+    h = np.zeros(m)
+    w[1:] = 1.0 / r
+    h[1:] = m / np.minimum(r, m - r)
+    return _unit_correlate(w, h, m)
+
+
+def _korobov_tables(qmin, qmax):
+    """Both Korobov sums for every unit a mod q, for q = qmin..qmax in order.
+
+    Yields (q, a_values, sum1, sum2, D) with D[i] the largest partial
+    quotient of a_values[i]/q. sum_1 does not depend on a (l -> l*a permutes
+    1..q-1). Writing l = g*u with m = q/g and u a unit mod m,
+    sum_2(a, q) = sum over m | q, m >= 2 of (m/q) * K_m(a mod m); each K_m is
+    built once and shared by every multiple q of m. D and the units come
+    from one Euclid pass per block of moduli.
+    """
+    if qmin < 2:
+        raise ValueError("need q >= 2")
+    kernels = {}
+    for a, q in _unit_blocks(qmin, qmax):
+        partials, _, _ = _euclid_rows(a, q)
+        D = partials.max(axis=1)
+        bounds = np.flatnonzero(np.diff(q)) + 1
+        for lo, hi in zip([0, *bounds], [*bounds, q.size]):
+            qq, av = int(q[lo]), a[lo:hi]
+            l = np.arange(1, qq)
+            s1 = np.full(av.size, (qq / np.minimum(l, qq - l)).sum())
+            s2 = np.zeros(av.size)
+            ms = np.arange(2, qq + 1)
+            for m in ms[qq % ms == 0].tolist():
+                K = kernels.pop(m) if m in kernels else _korobov_kernel(m)
+                s2 += m / qq * K[av % m]
+                if qq + m <= qmax:  # a later q of the range is a multiple of m
+                    kernels[m] = K
+            yield qq, av, s1, s2, D[lo:hi]
+
+
+def _korobov_table(q):
+    """(a_values, sum1, sum2, D) of _korobov_tables for the single modulus q."""
+    return next(_korobov_tables(q, q))[1:]
 
 
 def bound_ratio(chi1, chi2, a, c, target_error=1e-8, method="analytic"):

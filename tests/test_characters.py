@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from newform_dedekind.characters import (
+    _unit_group,
     character_from_index,
     character_product,
     enumerate_characters,
@@ -51,6 +52,26 @@ def test_q1_single_all_ones_character():
     chars = enumerate_characters(1)
     assert len(chars) == 1
     assert chars[0](0) == 1 and chars[0](17) == 1
+
+
+def test_unit_group_logs_are_pow_consistent():
+    # logmap must be a bijection from the units onto the log grid with
+    # n = prod g_i^logmap[n, i] mod m; the FFT correlations index by it
+    for m in range(1, 1001):
+        comps, logmap, exponent = _unit_group(m)
+        n = np.arange(m)
+        unit = np.gcd(n, m) == 1
+        assert logmap.shape == (m, len(comps))
+        assert (logmap[~unit] == -1).all()
+        assert unit.sum() == math.prod(s for s, _ in comps)
+        assert exponent == math.lcm(*(s for s, _ in comps))
+        prod = np.ones(int(unit.sum()), dtype=np.int64) % m
+        for i, (s, g) in enumerate(comps):
+            logs = logmap[unit, i]
+            assert ((0 <= logs) & (logs < s)).all()
+            powers = np.array([pow(g, t, m) for t in range(s)], dtype=np.int64)
+            prod = prod * powers[logs] % m
+        assert np.array_equal(prod, n[unit]), m
 
 
 def test_q5_exactly_one_order_two_character():

@@ -135,20 +135,60 @@ def test_verify_cf_reports_broken_expand_per_pair(capsys, monkeypatch):
 
 
 def test_verify_cf_fails_on_a_perturbed_euclid_table(capsys, monkeypatch):
-    real = contfrac._euclid_table
+    real = contfrac._euclid_rows
 
-    def perturbed(c):
-        partials, n, g = real(c)
-        if c == 7:
+    def perturbed(a, c):
+        partials, n, g = real(a, c)
+        row = (a == 3) & (c == 7)
+        if row.any():
             partials = partials.copy()
-            partials[2, 0] += 1  # 3/7 = [0;2,3] read as [0;3,3]
+            partials[row, 0] += 1  # 3/7 = [0;2,3] read as [0;3,3]
         return partials, n, g
 
-    monkeypatch.setattr(contfrac, "_euclid_table", perturbed)
+    monkeypatch.setattr(contfrac, "_euclid_rows", perturbed)
     rc, out, err = run(capsys, ["verify", "--suite", "cf", "--cmax", "40"])
     assert rc == 1
     assert "FAIL cf: convergent is not a/c at (3, 7)" in err.splitlines()
     assert out.startswith("verify cf: ") and out.endswith(" failure(s)\n")
+
+
+def test_verify_korobov_fails_on_a_perturbed_kernel(capsys, monkeypatch):
+    real = dedekind._korobov_kernel
+
+    def perturbed(m):
+        K = real(m)
+        if m == 7:
+            K[3] += 1000.0  # every sum_2(a, q) with 7 | q and a = 3 mod 7
+        return K
+
+    monkeypatch.setattr(dedekind, "_korobov_kernel", perturbed)
+    rc, out, err = run(capsys, ["verify", "--suite", "korobov", "--qmax", "10"])
+    assert rc == 1
+    value = dedekind.korobov_sum_2(3, 7) + 1000.0
+    limit = 18 * contfrac.max_partial_quotient(3, 7) * math.log(7) ** 2
+    fails = [line for line in err.splitlines() if line.startswith("FAIL ")]
+    assert fails[0] == f"FAIL korobov: sum_2(3, 7) = {value:.6g} > {limit:.6g}"
+    assert out == f"verify korobov: {len(fails)} failure(s)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "cf", "--cmax", "1"], "--cmax 1 leaves the cf suite nothing to check"),
+        (["--suite", "korobov", "--qmax", "1"],
+         "--qmax 1 leaves the korobov suite nothing to check"),
+        (["--suite", "dw", "--kmax", "0"], "--kmax 0 leaves the dw suite nothing to check"),
+        (["--suite", "agreement", "--trials", "0"],
+         "--trials 0 leaves the agreement suite nothing to check"),
+        (["--suite", "all", "--cmax", "1"], "--cmax 1 leaves the cf suite nothing to check"),
+    ],
+    ids=["cf", "korobov", "dw", "agreement", "all"],
+)
+def test_verify_with_nothing_to_check_is_a_validation_error(capsys, argv, message):
+    rc, out, err = run(capsys, ["verify", *argv])
+    assert rc == 2
+    assert out == ""
+    assert f"validation error (ValidationError): {message}" in err
 
 
 def test_scan_stdout(capsys):

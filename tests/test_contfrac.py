@@ -215,6 +215,35 @@ def test_euclid_table_rows_are_the_expansions():
                 assert not partials[a - 1, n[a - 1]:].any()
 
 
+def test_euclid_rows_on_random_pairs_are_the_expansions():
+    rng = np.random.default_rng(11)
+    c = rng.integers(2, 10**6, size=3000)
+    a = rng.integers(1, c)
+    partials, n, g = contfrac._euclid_rows(a, c)
+    assert partials.shape[0] == n.size == g.size == a.size
+    for i in range(a.size):
+        x, y = int(a[i]), int(c[i])
+        assert g[i] == math.gcd(x, y)
+        if g[i] == 1:
+            assert tuple(partials[i, :n[i]]) == expand(x, y).partials
+            assert not partials[i, n[i]:].any()
+    with pytest.raises(ValueError):
+        contfrac._euclid_rows(np.array([3]), np.array([3]))
+
+
+def test_unit_blocks_list_every_unit_pair_in_order():
+    for lo, hi in ((2, 2), (1, 60), (90, 400)):
+        blocks = list(contfrac._unit_blocks(lo, hi))
+        got = [(int(x), int(y)) for a, c in blocks for x, y in zip(a, c)]
+        want = [(x, y) for y in range(max(lo, 2), hi + 1) for x in range(1, y)
+                if math.gcd(x, y) == 1]
+        assert got == want
+        assert all(a.size <= contfrac._PAIR_BLOCK for a, _ in blocks)
+    # a modulus with more numerators than a block holds is a block of its own
+    (a, c), = contfrac._unit_blocks(5000, 5000)
+    assert a.size == 2000 and (c == 5000).all()
+
+
 def test_quotient_counts_walk_matches_per_c_euclid():
     tables = {c: reference_D(c) for c in range(3, 121)}
     for C in range(3, 121):

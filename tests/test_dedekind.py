@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -477,6 +478,33 @@ def test_korobov_table_sum_1_is_the_per_a_sum():
         for a, v1, v2 in zip(a_vals, s1, s2):
             assert abs(korobov_sum_1(int(a), q) - v1) <= 1e-12 * v1
             assert abs(korobov_sum_2(int(a), q) - v2) <= 1e-12 * v2
+
+
+# unit groups that are trivial (2), cyclic of 2-power order (4), or not
+# cyclic (8, 2^k * p^j)
+KOROBOV_MODULI = [2, 4, 8, 12, 16, 24, 40, 48, 72, 96, 112, 200, 288, 360, 392]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(q=st.one_of(st.sampled_from(KOROBOV_MODULI), st.integers(2, 400)), data=st.data())
+def test_batched_korobov_sum_2_matches_the_definition(q, data):
+    # sum_2 = sum over m | q of (m/q) K_m(a mod m), each K_m one FFT correlation
+    a = data.draw(st.integers(1, q - 1).filter(lambda x: math.gcd(x, q) == 1))
+    a_vals, _, s2, _ = dedekind._korobov_table(q)
+    got = s2[int(np.searchsorted(a_vals, a))]
+    want = korobov_sum_2(a, q)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_unit_correlate_matches_the_direct_sum():
+    rng = np.random.default_rng(3)
+    for m in (2, 3, 4, 8, 9, 15, 16, 24, 40, 63):
+        w, h = rng.standard_normal(m), rng.standard_normal(m)
+        units = [u for u in range(m) if math.gcd(u, m) == 1]
+        got = dedekind._unit_correlate(w, h, m)
+        for b in range(m):
+            want = sum(w[u] * h[u * b % m] for u in units) if b in units else 0.0
+            assert abs(got[b] - want) <= 1e-12 * len(units), (m, b)
 
 
 def test_korobov_validation():
