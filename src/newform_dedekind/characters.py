@@ -84,9 +84,10 @@ def _powers(g, count, m):
 def _unit_group(q):
     """Canonical cyclic decomposition of (Z/q)* with discrete-log tables.
 
-    Returns (components, logmap, exponent) where components is a tuple of
-    (order, global_generator), logmap[n, i] is the discrete log of n on
-    component i (-1 rows for non-units), and exponent = lcm of the orders.
+    Returns (components, units, logs, exponent) where components is a tuple
+    of (order, global_generator), units holds the residues coprime to q in
+    ascending order (int32), logs[j, i] is the discrete log of units[j] on
+    component i (int32), and exponent = lcm of the orders.
     """
     if q < 1:
         raise ValueError("modulus must be a positive integer")
@@ -119,22 +120,23 @@ def _unit_group(q):
             dlog[_powers(g, s, pe)] = np.arange(s)
             comps.append((s, _crt_lift(g, pe, q)))
             tables.append((pe, dlog))
-    logmap = np.full((q, len(comps)), -1, dtype=np.int64)
     n = np.arange(q)
     units = n[np.gcd(n, q) == 1]
+    # int32 keeps the cache small: the korobov suite fills it for every m <= qmax
+    logs = np.empty((units.size, len(comps)), dtype=np.int32)
     for i, (m, dlog) in enumerate(tables):
-        logmap[units, i] = dlog[units % m]
+        logs[:, i] = dlog[units % m]
     exponent = math.lcm(*(s for s, _ in comps)) if comps else 1
-    return tuple(comps), logmap, exponent
+    return tuple(comps), units.astype(np.int32), logs, exponent
 
 
 def _group_order(q):
-    comps, _, _ = _unit_group(q)
+    comps = _unit_group(q)[0]
     return math.prod(s for s, _ in comps)
 
 
 def _index_to_exponents(q, index):
-    comps, _, _ = _unit_group(q)
+    comps = _unit_group(q)[0]
     ks = []
     for s, _ in reversed(comps):
         ks.append(index % s)
@@ -145,7 +147,7 @@ def _index_to_exponents(q, index):
 
 
 def _exponents_to_index(q, ks):
-    comps, _, _ = _unit_group(q)
+    comps = _unit_group(q)[0]
     index = 0
     for (s, _), k in zip(comps, ks):
         index = index * s + k % s
@@ -181,7 +183,7 @@ class DirichletCharacter:
 
     def conjugate(self):
         ks = _index_to_exponents(self.modulus, self.index)
-        comps, _, _ = _unit_group(self.modulus)
+        comps = _unit_group(self.modulus)[0]
         conj = [(-k) % s for (s, _), k in zip(comps, ks)]
         return character_from_index(self.modulus, _exponents_to_index(self.modulus, conj))
 
@@ -194,19 +196,20 @@ def character_from_index(q, index):
     total = _group_order(q)
     if not 0 <= index < total:
         raise ValueError(f"index {index} out of range for modulus {q} ({total} characters)")
-    comps, logmap, e = _unit_group(q)
+    comps, units, ulogs, e = _unit_group(q)
     ks = _index_to_exponents(q, index)
-    n = np.arange(q)
-    unit = np.gcd(n, q) == 1
-    t = np.zeros(q, dtype=np.int64)
+    t = np.zeros(units.size, dtype=np.int64)
     for i, ((s, _), k) in enumerate(zip(comps, ks)):
-        t[unit] += k * (e // s) * logmap[unit, i]
-    logs = np.where(unit, t % e, -1)
-    values = np.where(unit, np.exp(2j * np.pi * logs / e), 0)
+        t += k * (e // s) * ulogs[:, i].astype(np.int64)
+    t %= e
+    phases = np.exp(2j * np.pi * t / e)
     # quarter-turn angles are exact fourth roots of unity; snapping them keeps
     # order <= 2 characters integer-valued and conjugation bit-exact
-    exact = unit & (4 * logs % e == 0)
-    values[exact] = np.array([1, 1j, -1, -1j])[4 * logs[exact] // e % 4]
+    exact = 4 * t % e == 0
+    phases[exact] = np.array([1, 1j, -1, -1j])[4 * t[exact] // e % 4]
+    logs = np.full(q, -1, dtype=np.int64)
+    values = np.zeros(q, dtype=complex)
+    logs[units], values[units] = t, phases
     return DirichletCharacter(q, index, e, logs, values)
 
 
@@ -296,7 +299,7 @@ def character_product(chi1, chi2, conjugate_second=False):
     """
     q1, q2 = chi1.modulus, chi2.modulus
     m = math.lcm(q1, q2)
-    comps, _, _ = _unit_group(m)
+    comps = _unit_group(m)[0]
     sign = -1 if conjugate_second else 1
     ks = []
     for s, g in comps:

@@ -99,13 +99,14 @@ def cmd_hensley(args):
 
 def cmd_scan(args):
     chi1, chi2 = _pair_from_args(args)
+    if args.workers < 1:  # accepted for old invocations; the scan runs in one thread
+        raise ValidationError("--workers must be >= 1")
     config = stats.ScanConfig(
         char_pair=(chi1.label, chi2.label),
         C_max=args.C,
         alpha=args.alpha,
         method=args.method,
         target_error=args.eps,
-        worker_count=args.workers,
         exceedances_only=args.exceedances_only,
     )
     count, records = stats.scan_F(config)
@@ -365,7 +366,8 @@ def _build_parser():
     p.add_argument("--method", choices=("analytic", "double_sum", "both"),
                    default="analytic")
     p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored; must be >= 1")
     p.add_argument("--out", default="")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--summary", default="")

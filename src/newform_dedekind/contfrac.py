@@ -217,15 +217,10 @@ def _euclid_rows(a, c):
     return partials.T, n, g
 
 
-def _euclid_table(c):
-    """_euclid_rows for every numerator a = 1..c-1 (row a-1)."""
-    return _euclid_rows(np.arange(1, c), c)
-
-
 def _max_quotient_table(c):
     """(D, g): for a = 1..c-1, D[a-1] is the largest partial quotient of a/c
     and g[a-1] = gcd(a, c)."""
-    partials, _, g = _euclid_table(c)
+    partials, _, g = _euclid_rows(np.arange(1, c), c)
     return partials.max(axis=1, initial=0), g
 
 

@@ -492,15 +492,13 @@ def _unit_correlate(w, h, m):
     of the cyclic decomposition of (Z/m)^*, u*b adds log vectors, so T is a
     cross-correlation there, computed with real FFTs.
     """
-    comps, logmap, _ = _unit_group(m)
-    n = np.arange(m)
-    units = n[np.gcd(n, m) == 1]
+    comps, units, logs, _ = _unit_group(m)
     out = np.zeros(m)
     if not comps:  # m <= 2: the group is trivial
         out[units] = w[units] * h[units]
         return out
     shape = tuple(s for s, _ in comps)
-    cells = tuple(logmap[units].T)
+    cells = tuple(logs.T)
     W = np.zeros(shape)
     H = np.zeros(shape)
     W[cells], H[cells] = w[units], h[units]

@@ -3,9 +3,8 @@
 scan_F counts threshold exceedances |S| > alpha * log^3(C_max) over
 1 <= a < c <= C_max with gcd(a, c) = 1 and q1*q2 | c. The analytic route
 evaluates each c with one dedekind.s_analytic_table call, which serves
-every a mod c; the c values run in order in the calling thread, so results
-are byte-identical for any worker count. second_moment uses the same per-c
-table.
+every a mod c; the c values run in order in the calling thread. second_moment
+uses the same per-c table.
 """
 from __future__ import annotations
 
@@ -42,8 +41,6 @@ class ScanConfig:
     alpha: float
     method: str = "analytic"  # 'analytic' | 'double_sum' | 'both'
     target_error: float = 1e-6
-    worker_count: int = 1
-    output_path: str = ""  # when set, scan_F writes CSV (or JSONL by suffix)
     exceedances_only: bool = False
 
 
@@ -126,12 +123,9 @@ def _scan_one_c(c, chi1, chi2, threshold, method, target_error, exceed_only):
 def scan_F(config):
     """Run the sweep; returns (exceedance_count, records).
 
-    The c values run in order in the calling thread, so the output does not
-    depend on worker_count. worker_count is validated but no longer splits
-    the work: with the per-c table most of a c's time holds the GIL, so a
-    second thread gained nothing at C_max = 450 and made each run's time
-    depend on the load of the other core. An empty range (C_max < q1*q2)
-    gives (0, []).
+    The c values run in order in the calling thread: with the per-c table
+    most of a c's time holds the GIL, so a second thread gained nothing at
+    C_max = 450. An empty range (C_max < q1*q2) gives (0, []).
     """
     chi1, chi2 = (character_from_index(q, i) for q, i in config.char_pair)
     dedekind.check_admissible(chi1, chi2)
@@ -141,8 +135,6 @@ def scan_F(config):
         raise ValueError("alpha must be positive")
     if not 0 < config.target_error <= 1e-3:
         raise ValueError("target_error must lie in (0, 1e-3]")
-    if config.worker_count < 1:
-        raise ValueError("worker_count must be >= 1")
     if config.method not in ("analytic", "double_sum", "both"):
         raise ValueError(f"unknown method {config.method!r}")
     q1q2 = chi1.modulus * chi2.modulus
@@ -155,9 +147,6 @@ def scan_F(config):
     count = sum(ch[0] for ch in chunks)
     records = [rec for ch in chunks for rec in ch[1]]
     scan_F.last_max_deviation = max((ch[2] for ch in chunks), default=0.0)
-    if config.output_path:
-        fmt = "jsonl" if config.output_path.endswith(".jsonl") else "csv"
-        emit(records, fmt, config.output_path)
     return count, records
 
 

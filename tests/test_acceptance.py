@@ -4,7 +4,6 @@ Each test prints exactly one summary line (visible with pytest -s, or in the
 captured output of a failing test) and then asserts the criterion.
 """
 import math
-import os
 import random
 import statistics
 import time
@@ -49,7 +48,6 @@ def scan_1500():
         alpha=1.0,
         method="analytic",
         target_error=1e-6,
-        worker_count=min(4, os.cpu_count() or 1),
     )
     start = time.monotonic()
     count, records = scan_F(config)

@@ -17,6 +17,7 @@ from newform_dedekind.characters import (
     l2_value,
     legendre_character,
 )
+from newform_dedekind.dedekind import _korobov_tables
 
 
 def sieve_totient(limit):
@@ -55,23 +56,48 @@ def test_q1_single_all_ones_character():
 
 
 def test_unit_group_logs_are_pow_consistent():
-    # logmap must be a bijection from the units onto the log grid with
-    # n = prod g_i^logmap[n, i] mod m; the FFT correlations index by it
+    # units are exactly the residues coprime to m, ascending, and logs maps
+    # them onto the log grid with units[j] = prod g_i^logs[j, i] mod m; the
+    # FFT correlations index by it
     for m in range(1, 1001):
-        comps, logmap, exponent = _unit_group(m)
+        comps, units, logs, exponent = _unit_group(m)
         n = np.arange(m)
-        unit = np.gcd(n, m) == 1
-        assert logmap.shape == (m, len(comps))
-        assert (logmap[~unit] == -1).all()
-        assert unit.sum() == math.prod(s for s, _ in comps)
+        assert np.array_equal(units, n[np.gcd(n, m) == 1])
+        assert logs.dtype == np.int32 and logs.shape == (units.size, len(comps))
+        assert units.size == math.prod(s for s, _ in comps)
         assert exponent == math.lcm(*(s for s, _ in comps))
-        prod = np.ones(int(unit.sum()), dtype=np.int64) % m
+        prod = np.ones(units.size, dtype=np.int64) % m
         for i, (s, g) in enumerate(comps):
-            logs = logmap[unit, i]
-            assert ((0 <= logs) & (logs < s)).all()
+            assert ((0 <= logs[:, i]) & (logs[:, i] < s)).all()
             powers = np.array([pow(g, t, m) for t in range(s)], dtype=np.int64)
-            prod = prod * powers[logs] % m
-        assert np.array_equal(prod, n[unit]), m
+            prod = prod * powers[logs[:, i]] % m
+        assert np.array_equal(prod, units), m
+
+
+def test_unit_group_cache_after_korobov_tables_is_small():
+    # the korobov suite builds the unit group of every m <= qmax and the
+    # cache keeps them all; units and logs only, in int32 (2^20 bytes per MB)
+    _unit_group.cache_clear()
+    for _ in _korobov_tables(2, 1000):
+        pass
+    info = _unit_group.cache_info()
+    total = sum(arr.nbytes for m in range(2, 1001) for arr in _unit_group(m)[1:3])
+    assert _unit_group.cache_info().misses == info.misses == info.currsize == 999
+    assert total <= 4 * 2**20, total / 2**20
+
+
+def test_character_mod_large_prime_has_exact_logs():
+    # q > 46341: k * log overflows int32 unless the logs are widened first;
+    # q - 1 = 65520 does not divide 2^32, so a wrapped product shows mod q - 1
+    q, k = 65521, 65519
+    chi = character_from_index(q, k)
+    (s, g), = _unit_group(q)[0]
+    assert s == chi.order == q - 1
+    rng = random.Random(5)
+    for t in [1, 2, q - 2, *(rng.randrange(q - 1) for _ in range(200))]:
+        n = pow(g, t, q)
+        assert chi.logs[n] == k * t % (q - 1)
+        assert abs(chi(n) - cmath.exp(2j * math.pi * (k * t % (q - 1)) / (q - 1))) < 1e-12
 
 
 def test_q5_exactly_one_order_two_character():

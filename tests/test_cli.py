@@ -224,6 +224,17 @@ def test_scan_file_outputs(capsys, tmp_path):
     assert summary["count"] == int(count_line.split(" = ")[1])
 
 
+def test_scan_workers_flag_is_accepted_and_ignored(capsys):
+    argv = ["scan", *PAIR, "--C", "200", "--alpha", "0.01"]
+    rc1, out1, _ = run(capsys, [*argv, "--workers", "1"])
+    rc4, out4, _ = run(capsys, [*argv, "--workers", "4"])
+    assert rc1 == rc4 == 0
+    assert out1 == out4 and out1.startswith("c,a,d,")
+    rc, out, err = run(capsys, [*argv, "--workers", "0"])
+    assert rc == 2 and out == ""
+    assert "--workers must be >= 1" in err
+
+
 def test_scan_bad_out_path_is_io_error(capsys, tmp_path):
     rc, _, err = run(
         capsys,

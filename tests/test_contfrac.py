@@ -206,7 +206,7 @@ def reference_counts(tables, alpha, C):
 
 def test_euclid_table_rows_are_the_expansions():
     for c in range(1, 201):
-        partials, n, g = contfrac._euclid_table(c)
+        partials, n, g = contfrac._euclid_rows(np.arange(1, c), c)
         assert partials.shape[0] == n.size == g.size == c - 1
         for a in range(1, c):
             assert g[a - 1] == math.gcd(a, c)
