@@ -229,16 +229,12 @@ def legendre_character(p):
 def is_primitive(chi):
     """True iff the conductor equals the modulus.
 
-    Tests triviality on the kernel subgroups {n = 1 mod d} for every proper
-    divisor d of q; chi factors through mod d exactly when it is trivial there.
+    chi factors through mod d iff it is trivial on {n = 1 mod d}, the slice
+    logs[1::d] (-1 off units). Every proper d | q divides some q/p with p a
+    prime factor of q, and the kernel of q/p lies inside d's, so the q/p suffice.
     """
     q = chi.modulus
-    for d in range(1, q):
-        if q % d:
-            continue
-        if all(chi.logs[n] == 0 for n in range(1, q, d) if math.gcd(n, q) == 1):
-            return False
-    return True
+    return all(chi.logs[1::q // p].max() > 0 for p, _ in _factorize(q))
 
 
 def gauss_sum(chi):

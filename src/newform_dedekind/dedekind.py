@@ -158,49 +158,32 @@ def s_double_sum(chi1, chi2, a, c):
     return DedekindSumResult(value, "double_sum", 0.0, gamma.d, D)
 
 
-def _integer_table(chi):
-    """chi's values as exact integers when real-valued, else None."""
-    vals = []
-    for t in chi.logs:
-        if t < 0:
-            vals.append(0)
-        elif t == 0:
-            vals.append(1)
-        elif 2 * t == chi.order:
-            vals.append(-1)
-        else:
-            return None
-    return vals
-
-
 def s_double_sum_exact(chi1, chi2, a, c):
     """Exact-rational double sum; requires both characters real-valued.
 
-    With B1(j/c) = (2j - c)/(2c) off integers, the whole sum is an integer
-    divided by 4*q1*c^2.
+    Off integers B1(j/c) = (2j - c)/(2c) and B1(R/(q1*c)) = (2R - q1*c)/(2*q1*c),
+    R = n*c + a*q1*j mod q1*c, so the sum is an integer over 4*q1*c^2. It is
+    summed in int64 per n mod q1 and block of j, exact while (q1*c)^2 < 2^63.
     """
     check_admissible(chi1, chi2, a, c)
-    t1 = _integer_table(chi1)
-    t2 = _integer_table(chi2)
-    if t1 is None or t2 is None:
+    # a real character's exponent on a unit is 0 (value 1) or order/2 (value -1)
+    if any(np.any((chi.logs > 0) & (2 * chi.logs != chi.order)) for chi in (chi1, chi2)):
         raise ValueError("exact mode requires real-valued characters")
+    t1, t2 = (np.where(chi.logs > 0, -1, chi.logs + 1) for chi in (chi1, chi2))
     q1, q2 = chi1.modulus, chi2.modulus
-    a %= c
     qc = q1 * c
+    if qc * qc >= 2**63:  # every element product is below (q1*c)^2
+        raise ValueError(f"exact mode needs (q1*c)^2 < 2^63, got q1 = {q1}, c = {c}")
+    a %= c
     num = 0
-    for j in range(1, c):
-        w = t2[j % q2]
-        if w == 0:
-            continue
-        inner = 0
-        base = a * q1 * j
-        for n in range(q1):
-            if t1[n] == 0:
-                continue
-            r = (n * c + base) % qc
-            if r:
-                inner += t1[n] * (2 * r - qc)
-        num += w * (2 * j - c) * inner
+    step = 1 << 18  # j values per block: bounds the working set at any c
+    for lo in range(1, c, step):
+        j = np.arange(lo, min(lo + step, c), dtype=np.int64)
+        inner = np.zeros_like(j)
+        for n in np.flatnonzero(t1).tolist():
+            r = (n * c + a * q1 * j) % qc
+            inner += t1[n] * np.where(r == 0, 0, 2 * r - qc)
+        num += sum((t2[j % q2] * (2 * j - c) * inner).tolist())
     return Fraction(num, 4 * c * qc)
 
 

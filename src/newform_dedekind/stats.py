@@ -152,11 +152,11 @@ def scan_F(config):
 
 def second_moment(chi1, chi2, c, method="analytic", target_error=1e-6):
     """Sum of |S(a, c)|^2 over the phi(c) residues coprime to c."""
+    if method not in ("analytic", "double_sum"):
+        raise ValueError(f"unknown method {method!r}")
     dedekind.check_admissible(chi1, chi2, c=c)
-    total = 0.0
-    for _, _, val, _ in _s_rows(chi1, chi2, c, method, target_error):
-        total += abs(val) ** 2
-    return total
+    rows = _s_rows(chi1, chi2, c, method, target_error)
+    return sum((abs(val) ** 2 for _, _, val, _ in rows), 0.0)
 
 
 def largeval_sweep(chi1, chi2, n, k_range, target_error=1e-8):

@@ -202,6 +202,26 @@ def test_is_primitive_cases():
     assert is_primitive(character_from_index(1, 0))
 
 
+def mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+def test_primitive_count_is_mobius_sum_of_totients():
+    # the number of primitive characters mod q is sum over d | q of mu(q/d) phi(d)
+    phi = sieve_totient(150)
+    for q in range(1, 151):
+        want = sum(mobius(q // d) * phi[d] for d in range(1, q + 1) if q % d == 0)
+        assert sum(is_primitive(chi) for chi in enumerate_characters(q)) == want, q
+
+
 def test_conjugate_is_pointwise_conjugate():
     for q in (5, 7, 8, 12, 13):
         for chi in enumerate_characters(q):

@@ -49,6 +49,7 @@ from newform_dedekind.stats import ScanConfig, largeval_sweep, scan_F, second_mo
 
 LEG5 = legendre_character(5)
 LEG3 = legendre_character(3)
+LEG7 = legendre_character(7)
 QUARTIC = character_from_index(5, 1)
 ODD4 = character_from_index(4, 1)
 ORDER6 = character_from_index(7, 1)
@@ -241,6 +242,60 @@ def test_exact_mode_matches_float():
 def test_exact_mode_rejects_complex_characters():
     with pytest.raises(ValueError):
         s_double_sum_exact(QUARTIC, QUARTIC, 2, 25)
+
+
+def exact_b1(x):
+    """B1 of a Fraction: x - floor(x) - 1/2, and 0 at integers."""
+    return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+
+
+def defining_sum_exact(chi1, chi2, a, c):
+    """The definition summed term by term in Fractions (both characters real)."""
+    q1 = chi1.modulus
+    total = Fraction(0)
+    for j in range(c):
+        for n in range(q1):
+            w = chi2(j).conjugate() * chi1(n).conjugate()
+            assert w.imag == 0
+            x = Fraction(n, q1) + Fraction(a * j, c)
+            total += int(w.real) * exact_b1(Fraction(j, c)) * exact_b1(x)
+    return total
+
+
+REAL_PAIRS = [(LEG3, LEG3), (LEG5, LEG5), (LEG7, LEG7), (LEG3, LEG7),
+              (ODD4, LEG3), (LEG3, ODD4)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(data=st.data())
+def test_exact_mode_matches_definition(data):
+    chi1, chi2 = data.draw(st.sampled_from(REAL_PAIRS))
+    c = chi1.modulus * chi2.modulus * data.draw(st.integers(1, 3))
+    a = data.draw(st.integers(-c, 2 * c - 1))
+    assume(math.gcd(a, c) == 1)
+    assert s_double_sum_exact(chi1, chi2, a, c) == defining_sum_exact(chi1, chi2, a, c)
+
+
+def test_exact_mode_dw_closed_form_at_a_million():
+    # S(1 + l*k*p, k*p^2) with p = 5, k = 40000, l = 2: c = 10^6
+    assert dw_exact(5, 40000, 2) == -80000
+    assert s_double_sum_exact(LEG5, LEG5, 1 + 2 * 40000 * 5, 40000 * 25) == -80000
+
+
+def test_exact_mode_rejects_int64_overflow_before_building_arrays(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("array built")
+
+    for name in ("arange", "zeros", "empty", "ones", "full"):
+        monkeypatch.setattr(np, name, refuse)
+    # (q1*c)^2 >= 2^63 at c = 25 * 3 * 10^7 and at the first multiple of 25 above
+    # sqrt(2^63)/5; the multiple below it passes the range check
+    for c in (25 * 3 * 10**7, 607400100):
+        with pytest.raises(ValueError, match="2\\^63"):
+            s_double_sum_exact(LEG5, LEG5, 1, c)
+    assert (5 * 607400075) ** 2 < 2**63 <= (5 * 607400100) ** 2
+    with pytest.raises(AssertionError, match="array built"):
+        s_double_sum_exact(LEG5, LEG5, 1, 607400075)
 
 
 def test_dw_exact_values():

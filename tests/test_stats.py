@@ -136,6 +136,12 @@ def test_second_moment_at_1800_matches_exact():
     assert abs(approx - 200096) < 1e-4
 
 
+def test_second_moment_rejects_unknown_method():
+    for method in ("fast", "both"):
+        with pytest.raises(ValueError, match="unknown method"):
+            second_moment(LEG5, LEG5, 25, method=method)
+
+
 def test_second_moment_rejects_bad_modulus():
     from newform_dedekind.errors import DivisibilityError
 
