@@ -170,16 +170,20 @@ def _suite_korobov(args):
     failures = []
     rng = random.Random(args.seed)
     spot = []
-    for q, a_vals, s1, s2, D in dedekind._korobov_tables(2, args.qmax):
-        lim1 = 2 * q * math.log(q)
-        lim2 = 18 * D * math.log(q) ** 2
-        for i in np.nonzero(s1 > lim1)[0]:
-            failures.append(f"korobov: sum_1({a_vals[i]}, {q}) = {s1[i]:.6g} > {lim1:.6g}")
-        for i in np.nonzero(s2 > lim2)[0]:
-            failures.append(f"korobov: sum_2({a_vals[i]}, {q}) = {s2[i]:.6g} > {lim2[i]:.6g}")
-        if q > 2 and rng.random() < 0.05:
-            i = rng.randrange(len(a_vals))
-            spot.append((int(a_vals[i]), q, float(s1[i]), float(s2[i])))
+    for q, a, s1, s2, D in dedekind._korobov_tables(2, args.qmax):
+        first = np.flatnonzero(np.diff(q, prepend=0))  # rows run by q, then a
+        count = np.diff(first, append=q.size)
+        logs = [math.log(x) for x in q[first].tolist()]  # per q, as the scalar bounds
+        lim1 = 2 * q * np.repeat(logs, count)
+        lim2 = 18 * D * np.repeat([x**2 for x in logs], count)
+        found = [(q[i], 1, i, s1[i], lim1[i]) for i in np.flatnonzero(s1 > lim1)]
+        found += [(q[i], 2, i, s2[i], lim2[i]) for i in np.flatnonzero(s2 > lim2)]
+        for qq, k, i, s, lim in sorted(found):  # by q, then sum_1 before sum_2
+            failures.append(f"korobov: sum_{k}({a[i]}, {qq}) = {s:.6g} > {lim:.6g}")
+        for lo, n in zip(first.tolist(), count.tolist()):
+            if q[lo] > 2 and rng.random() < 0.05:
+                i = lo + rng.randrange(n)
+                spot.append((int(a[i]), int(q[i]), float(s1[i]), float(s2[i])))
     # the batch table must agree with the public scalar functions
     for a, q, v1, v2 in spot[:100]:
         if abs(dedekind.korobov_sum_1(a, q) - v1) > 1e-9 * max(1.0, v1):
@@ -219,14 +223,15 @@ _CF_SAMPLE = 100  # pairs on which the cf suite checks the scalar functions
 
 def _convergents(partials, n):
     """(p_n, q_n, p_{n-1}, q_{n-1}) of [0; a1, ..., an] for every row, the
-    digits in the first n columns of partials."""
-    p_prev, p = np.ones(n.size, np.int64), np.zeros(n.size, np.int64)
-    q_prev, q = np.zeros(n.size, np.int64), np.ones(n.size, np.int64)
-    for k in range(partials.shape[1]):
-        x, live = partials[:, k], k < n
-        p_prev, p = np.where(live, p, p_prev), np.where(live, x * p + p_prev, p)
-        q_prev, q = np.where(live, q, q_prev), np.where(live, x * q + q_prev, q)
-    return p, q, p_prev, q_prev
+    digits in the first n columns of partials and zeros after them."""
+    pq = np.repeat([[0], [1]], n.size, axis=1)  # (p_k, q_k), from k = 0
+    prev = 1 - pq  # (p_{k-1}, q_{k-1})
+    for x in partials.T:
+        pq, prev = x * pq + prev, pq
+    # a zero digit swaps the pair, so a row ends swapped if columns - n is odd
+    swapped = (partials.shape[1] - n) % 2 == 1
+    pq[:, swapped], prev[:, swapped] = prev[:, swapped], pq[:, swapped]
+    return (*pq, *prev)
 
 
 def _suite_cf(args):

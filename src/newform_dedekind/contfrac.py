@@ -108,19 +108,9 @@ def to_parity_form(cf, want_odd_n):
     """
     if cf.n % 2 == (1 if want_odd_n else 0):
         return cf
-    if not cf.partials:
-        out = ContinuedFraction.from_terms(cf.a0 - 1, (1,))
-    elif cf.partials[-1] == 1:
-        if cf.n == 1:
-            out = ContinuedFraction.from_terms(cf.a0 + 1, ())
-        else:
-            out = ContinuedFraction.from_terms(
-                cf.a0, cf.partials[:-2] + (cf.partials[-2] + 1,)
-            )
-    else:
-        out = ContinuedFraction.from_terms(
-            cf.a0, cf.partials[:-1] + (cf.partials[-1] - 1, 1)
-        )
+    t = cf.terms
+    t = t[:-2] + (t[-2] + 1,) if cf.n and t[-1] == 1 else t[:-1] + (t[-1] - 1, 1)
+    out = ContinuedFraction.from_terms(t[0], t[1:])
     if (out.numerator, out.denominator) != (cf.numerator, cf.denominator):
         raise CertificationError(f"parity form {out} does not equal {cf}")
     return out
@@ -134,13 +124,6 @@ def max_partial_quotient(a, c):
     return max(cf.partials)
 
 
-def _mat_mul(m, v):
-    return (
-        (m[0][0] * v[0][0] + m[0][1] * v[1][0], m[0][0] * v[0][1] + m[0][1] * v[1][1]),
-        (m[1][0] * v[0][0] + m[1][1] * v[1][0], m[1][0] * v[0][1] + m[1][1] * v[1][1]),
-    )
-
-
 def matrix_factorization(cf):
     """Product of (a_i 1; 1 0) over all terms a0..an, for odd n only.
 
@@ -149,10 +132,10 @@ def matrix_factorization(cf):
     """
     if cf.n % 2 == 0:
         raise ValueError("matrix form requires an odd number of partial quotients")
-    m = ((cf.a0, 1), (1, 0))
-    for x in cf.partials:
-        m = _mat_mul(m, ((x, 1), (1, 0)))
-    return m
+    (a, b), (c, d) = (cf.a0, 1), (1, 0)
+    for x in cf.partials:  # times (x 1; 1 0)
+        (a, b), (c, d) = (a * x + b, a), (c * x + d, c)
+    return (a, b), (c, d)
 
 
 def reverse_denominator_expansion(a, c):
@@ -198,8 +181,7 @@ def _euclid_rows(a, c):
     if y.ndim != 1 or not ((0 < y) & (y < x)).all():
         raise ValueError("need a one-dimensional array of pairs with 0 < a < c")
     live = np.arange(y.size)  # rows whose Euclid has not finished
-    n = np.empty_like(y)
-    g = np.empty_like(y)
+    n, g = np.empty_like(y), np.empty_like(y)
     columns = []
     while live.size:
         q = x // y
@@ -208,8 +190,7 @@ def _euclid_rows(a, c):
         done = y == 0
         n[live[done]] = len(columns)
         g[live[done]] = x[done]
-        more = ~done
-        live, x, y = live[more], x[more], y[more]
+        live, x, y = live[~done], x[~done], y[~done]
     # filled column by column, so each column is contiguous
     partials = np.zeros((len(columns), n.size), dtype=np.int64)
     for k, (rows, q) in enumerate(columns):
@@ -254,48 +235,43 @@ def quotient_counts(alpha, C):
     by D(a, c) <= alpha*log C.
 
     These pairs are the canonical expansions a/c = [0; a1, ..., an] with
-    n >= 2, an >= 2 and denominator q_n <= C. One depth-first walk visits
-    each prefix [0; a1, ..., ak] once, held as (q_{k-1}, q_k) and whether
-    some ai exceeds M = floor(alpha*log C). Each final digit
-    2 <= x <= (C - q_{k-1}) // q_k completes one pair, counted in phi when
-    neither the prefix nor x exceeds M and in g otherwise. Prefixes are
-    taken from the stack in blocks of at most _WALK_BLOCK.
+    n >= 2, an >= 2 and q_n <= C. A digit above M = floor(alpha*log C) never
+    adds to phi, so one depth-first walk, in stack blocks of at most
+    _WALK_BLOCK, visits only the prefixes [0; a1, ..., ak] with every
+    ai <= M, held as (q_{k-1}, q_k). Each final digit
+    2 <= x <= min(M, (C - q_{k-1}) // q_k) completes one pair of phi. g is
+    the complement: the totient sum of (phi(c) - 1) over 3 <= c <= C, minus
+    phi.
     """
     if C < 3:
         raise ValueError("need C >= 3")
     if not alpha > 0:
         raise ValueError("need alpha > 0")
     M = math.floor(min(alpha * math.log(C), C))
-    # rows q_{k-1}, q_k, flag; a prefix is stacked only if it admits a final
-    # digit 2 <= x, i.e. 2*q_k + q_{k-1} <= C, starting from [0; a1]
-    a1 = np.arange(1, (C - 1) // 2 + 1, dtype=np.int64)
-    stack = np.stack([np.ones_like(a1), a1, a1 > M])
-    top = a1.size
-    phi = g = 0
+    # rows q_{k-1}, q_k; a prefix is stacked only if it admits a final digit
+    # 2 <= x, i.e. 2*q_k + q_{k-1} <= C, starting from [0; a1]
+    a1 = np.arange(1, min(M, (C - 1) // 2) + 1, dtype=np.int64)
+    stack = np.stack([np.ones_like(a1), a1])
+    top, phi = a1.size, 0
     while top:
         lo = max(0, top - _WALK_BLOCK)
-        prev, q, big = stack[:, lo:top]
+        prev, q = stack[:, lo:top]
         top = lo
-        last = (C - prev) // q
-        # final digits 2..last, of which 2..min(last, M) keep D <= M
-        low = int(np.where(big == 0, np.clip(np.minimum(last, M) - 1, 0, None), 0).sum())
-        phi += low
-        g += int((last - 1).sum()) - low
-        # children: next digits x >= 1 that still admit a final digit
-        kids = np.maximum((C - q - 2 * prev) // (2 * q), 0)
+        phi += int(np.clip(np.minimum((C - prev) // q, M) - 1, 0, None).sum())
+        # children: next digits 1 <= x <= M that still admit a final digit
+        kids = np.clip((C - q - 2 * prev) // (2 * q), 0, M)
         total = int(kids.sum())
-        if not total:
-            continue
         parent = np.repeat(np.arange(q.size), kids)
         x = np.arange(1, total + 1) - np.repeat(np.cumsum(kids) - kids, kids)
-        children = np.stack([q[parent], x * q[parent] + prev[parent], big[parent] | (x > M)])
         if top + total > stack.shape[1]:
-            grown = np.empty((3, max(2 * stack.shape[1], top + total)), np.int64)
-            grown[:, :top] = stack[:, :top]
-            stack = grown
-        stack[:, top:top + total] = children
+            stack = np.pad(stack[:, :top], ((0, 0), (0, max(stack.shape[1], total))))
+        stack[:, top:top + total] = q[parent], x * q[parent] + prev[parent]
         top += total
-    return phi, g
+    tot = np.arange(C + 1)  # Euler's phi, sieved over the primes p <= C
+    for p in range(2, C + 1):
+        if tot[p] == p:  # untouched by smaller primes, so p is prime
+            tot[p::p] -= tot[p::p] // p
+    return phi, int(tot[3:].sum()) - (C - 2) - phi
 
 
 def phi_count(alpha, C):

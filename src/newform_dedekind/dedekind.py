@@ -137,6 +137,8 @@ def s_double_sum(chi1, chi2, a, c):
 
     All B1 arguments are reduced as exact fractions (integer remainders), so
     the integer-point value 0 is decided exactly, never by float rounding.
+    That value never changes S for admissible input: R = n*c + a*q1*j = 0
+    mod q1*c forces (c/q1) | j, a multiple of q2, so conj(chi2)(j) = 0.
     """
     gamma = check_admissible(chi1, chi2, a, c)
     q1, q2 = chi1.modulus, chi2.modulus
@@ -162,7 +164,8 @@ def s_double_sum_exact(chi1, chi2, a, c):
     """Exact-rational double sum; requires both characters real-valued.
 
     Off integers B1(j/c) = (2j - c)/(2c) and B1(R/(q1*c)) = (2R - q1*c)/(2*q1*c),
-    R = n*c + a*q1*j mod q1*c, so the sum is an integer over 4*q1*c^2. It is
+    R = n*c + a*q1*j mod q1*c, so the sum is an integer over 4*q1*c^2. B1's
+    0 at R = 0 changes nothing: (c/q1) | j there, so conj(chi2)(j) = 0. It is
     summed in int64 per n mod q1 and block of j, exact while (q1*c)^2 < 2^63.
     """
     check_admissible(chi1, chi2, a, c)
@@ -482,8 +485,7 @@ def _unit_correlate(w, h, m):
         return out
     shape = tuple(s for s, _ in comps)
     cells = tuple(logs.T)
-    W = np.zeros(shape)
-    H = np.zeros(shape)
+    W, H = np.zeros(shape), np.zeros(shape)
     W[cells], H[cells] = w[units], h[units]
     T = np.fft.irfftn(np.conj(np.fft.rfftn(W)) * np.fft.rfftn(H), s=shape,
                       axes=range(len(shape)))
@@ -495,42 +497,57 @@ def _korobov_kernel(m):
     """K_m(b) = sum over units u mod m (1 <= u < m) of m / (u * min(r, m - r)),
     r = u*b mod m, for every unit b (indexed by residue, 0 off units)."""
     r = np.arange(1, m)
-    w = np.zeros(m)
-    h = np.zeros(m)
+    w, h = np.zeros(m), np.zeros(m)
     w[1:] = 1.0 / r
     h[1:] = m / np.minimum(r, m - r)
     return _unit_correlate(w, h, m)
 
 
-def _korobov_tables(qmin, qmax):
-    """Both Korobov sums for every unit a mod q, for q = qmin..qmax in order.
+def _korobov_sum_2(q, a, kernels):
+    """sum_2(a, q) for the rows of one block of consecutive moduli: the terms
+    (m/q) * K_m(a mod m) over the divisors m >= 2 of q, gathered from one flat
+    store of the block's kernels (built into kernels when missing) and summed
+    per row in order of m."""
+    lo, hi = int(q[0]), int(q[-1])
+    dq, dm = np.nonzero(np.arange(lo, hi + 1)[:, None] % np.arange(2, hi + 1) == 0)
+    dm += 2  # the pairs (modulus - lo, divisor m >= 2), by modulus then m
+    need = np.flatnonzero(np.bincount(dm))  # np.unique would import numpy.ma
+    kernels.update({m: _korobov_kernel(m) for m in need.tolist() if m not in kernels})
+    start = np.zeros(hi + 1, np.int64)  # where each K_m begins in the store
+    start[need] = np.cumsum(need) - need
+    # each row once per divisor of its modulus; pos is its pair in (dq, dm)
+    counts = np.bincount(dq)
+    ndiv = counts[q - lo]
+    row = np.repeat(np.arange(q.size), ndiv)
+    pos = np.repeat((np.cumsum(counts) - counts)[q - lo] - np.cumsum(ndiv) + ndiv, ndiv)
+    pos += np.arange(pos.size)
+    idx = a[row]  # in place from here: the working set is a few rows * divisors
+    idx %= dm[pos]
+    idx += start[dm[pos]]
+    terms = np.concatenate([kernels[m] for m in need.tolist()])[idx]
+    terms *= (dm / (dq + lo))[pos]
+    return np.bincount(row, weights=terms, minlength=q.size)
 
-    Yields (q, a_values, sum1, sum2, D) with D[i] the largest partial
-    quotient of a_values[i]/q. sum_1 does not depend on a (l -> l*a permutes
-    1..q-1). Writing l = g*u with m = q/g and u a unit mod m,
-    sum_2(a, q) = sum over m | q, m >= 2 of (m/q) * K_m(a mod m); each K_m is
-    built once and shared by every multiple q of m. D and the units come
-    from one Euclid pass per block of moduli.
+
+def _korobov_tables(qmin, qmax):
+    """Both Korobov sums for every unit a mod q, qmin <= q <= qmax.
+
+    Yields (q, a, sum1, sum2, D) per block of consecutive moduli (rows by q,
+    then a), D the largest partial quotient of a/q. sum_1 does not depend on
+    a (l -> l*a permutes 1..q-1): it is q * (H_{(q-1)//2} + H_{q//2}). With
+    l = g*u, m = q/g and u a unit mod m, sum_2(a, q) = sum over m | q, m >= 2
+    of (m/q) * K_m(a mod m); each K_m is built once and kept while a later
+    modulus is a multiple of m.
     """
     if qmin < 2:
         raise ValueError("need q >= 2")
+    harmonic = np.cumsum(np.r_[0, 1 / np.arange(1, qmax // 2 + 1)])
     kernels = {}
     for a, q in _unit_blocks(qmin, qmax):
-        partials, _, _ = _euclid_rows(a, q)
-        D = partials.max(axis=1)
-        bounds = np.flatnonzero(np.diff(q)) + 1
-        for lo, hi in zip([0, *bounds], [*bounds, q.size]):
-            qq, av = int(q[lo]), a[lo:hi]
-            l = np.arange(1, qq)
-            s1 = np.full(av.size, (qq / np.minimum(l, qq - l)).sum())
-            s2 = np.zeros(av.size)
-            ms = np.arange(2, qq + 1)
-            for m in ms[qq % ms == 0].tolist():
-                K = kernels.pop(m) if m in kernels else _korobov_kernel(m)
-                s2 += m / qq * K[av % m]
-                if qq + m <= qmax:  # a later q of the range is a multiple of m
-                    kernels[m] = K
-            yield qq, av, s1, s2, D[lo:hi]
+        D = _euclid_rows(a, q)[0].max(axis=1)
+        s2 = _korobov_sum_2(q, a, kernels)
+        kernels = {m: K for m, K in kernels.items() if (q[-1] // m + 1) * m <= qmax}
+        yield q, a, q * (harmonic[(q - 1) // 2] + harmonic[q // 2]), s2, D
 
 
 def _korobov_table(q):

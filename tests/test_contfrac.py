@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newform_dedekind import contfrac
 from newform_dedekind.contfrac import (
@@ -177,6 +180,7 @@ def test_delta_bounded_exhaustive():
                 assert abs(digit_symmetry_delta(a, c)) <= 1
 
 
+@functools.lru_cache(maxsize=None)
 def reference_D(c):
     """D(a, c) for the units 1 < a < c, from a per-c vectorized Euclid: the
     route quotient_counts took before its walk over the expansions."""
@@ -255,6 +259,28 @@ def test_quotient_counts_walk_matches_per_c_euclid_at_1000():
     tables = {c: reference_D(c) for c in range(3, 1001)}
     for alpha in (1, 2):
         assert quotient_counts(alpha, 1000) == reference_counts(tables, alpha, 1000)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(C=st.integers(3, 300), kind=st.sampled_from(["M = 0", "M >= (C-1)//2", "inf", "any"]),
+       data=st.data())
+def test_quotient_counts_property_matches_per_c_euclid(C, kind, data):
+    # phi is walked over the prefixes with digits <= M and g is the totient
+    # complement, so both halves are checked against the per-c reference
+    log_c = math.log(C)
+    if kind == "M = 0":
+        alpha = data.draw(st.floats(1e-6, 0.999)) / log_c
+    elif kind == "M >= (C-1)//2":
+        alpha = ((C - 1) // 2 + 0.5 + data.draw(st.floats(0, 100))) / log_c
+    elif kind == "inf":
+        alpha = math.inf
+    else:
+        alpha = data.draw(st.floats(0.01, 5))
+    M = math.floor(min(alpha * log_c, C))
+    assert kind != "M = 0" or M == 0
+    assert kind in ("M = 0", "any") or M >= (C - 1) // 2
+    tables = {c: reference_D(c) for c in range(3, C + 1)}
+    assert quotient_counts(alpha, C) == reference_counts(tables, alpha, C)
 
 
 def test_quotient_counts_nan_and_infinite_alpha():

@@ -551,6 +551,22 @@ def test_batched_korobov_sum_2_matches_the_definition(q, data):
     assert abs(got - want) <= 1e-12 * want
 
 
+def test_korobov_table_builds_each_divisor_kernel_once(monkeypatch):
+    # one modulus needs K_m for its divisors m >= 2 only, each built once
+    real = dedekind._korobov_kernel
+    for q in (2, 3, 12, 97, 360, 1000):
+        built = []
+
+        def counting(m):
+            built.append(m)
+            return real(m)
+
+        monkeypatch.setattr(dedekind, "_korobov_kernel", counting)
+        a_vals, s1, s2, D = dedekind._korobov_table(q)
+        assert sorted(built) == [m for m in range(2, q + 1) if q % m == 0], q
+        assert a_vals.size == s2.size == sum(math.gcd(a, q) == 1 for a in range(1, q))
+
+
 def test_unit_correlate_matches_the_direct_sum():
     rng = np.random.default_rng(3)
     for m in (2, 3, 4, 8, 9, 15, 16, 24, 40, 63):
