@@ -8,6 +8,7 @@ Logs (including the resolved invocation) go to stderr; data to stdout or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -338,6 +339,7 @@ def cmd_verify(args):
     return 1 if failures else 0
 
 
+@functools.cache  # built once per process; each parse_args returns a new Namespace
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="nfds",
@@ -412,8 +414,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     config = {"subcommand": args.command, "flags": flags}
     print(f"config: {json.dumps(config, default=str)}", file=sys.stderr)

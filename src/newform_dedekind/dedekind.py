@@ -29,7 +29,7 @@ from .characters import (
     l2_value,
     legendre_character,
 )
-from .contfrac import _euclid_rows, _unit_blocks, max_partial_quotient
+from .contfrac import _unit_digits, max_partial_quotient
 from .errors import (
     CertificationError,
     CoprimalityError,
@@ -543,8 +543,7 @@ def _korobov_tables(qmin, qmax):
         raise ValueError("need q >= 2")
     harmonic = np.cumsum(np.r_[0, 1 / np.arange(1, qmax // 2 + 1)])
     kernels = {}
-    for a, q in _unit_blocks(qmin, qmax):
-        D = _euclid_rows(a, q)[0].max(axis=1)
+    for a, q, D in _unit_digits(qmin, qmax):
         s2 = _korobov_sum_2(q, a, kernels)
         kernels = {m: K for m, K in kernels.items() if (q[-1] // m + 1) * m <= qmax}
         yield q, a, q * (harmonic[(q - 1) // 2] + harmonic[q // 2]), s2, D

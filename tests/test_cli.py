@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from newform_dedekind import contfrac, dedekind
+from newform_dedekind import cli, contfrac, dedekind
 from newform_dedekind.cli import main
 from newform_dedekind.contfrac import ContinuedFraction
 
@@ -320,3 +320,19 @@ def test_verify_suites_pass(capsys, argv):
     assert rc == 0
     assert "ok" in out
     assert "FAIL" not in err
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    def config(argv):
+        rc, _, err = run(capsys, argv)
+        assert rc == 0
+        line = err.splitlines()[0]
+        assert line.startswith("config: ")
+        return json.loads(line[len("config: "):])["flags"]
+
+    assert cli._build_parser() is cli._build_parser()
+    assert config(["verify", "--suite", "cf", "--cmax", "40"])["cmax"] == 40
+    assert config(["verify", "--suite", "cf"])["cmax"] is None
+    scan = ["scan", *PAIR, "--C", "50", "--alpha", "0.1"]
+    assert config([*scan, "--exceedances-only"])["exceedances_only"] is True
+    assert config(scan)["exceedances_only"] is False

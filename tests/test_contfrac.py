@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,7 +252,10 @@ def test_unit_blocks_list_every_unit_pair_in_order():
 def test_quotient_counts_walk_matches_per_c_euclid():
     tables = {c: reference_D(c) for c in range(3, 121)}
     for C in range(3, 121):
-        for alpha in (0.3, 0.5, 1, 1.5, 2, 3, 1e9, math.inf):
+        # 1.5/log C and 2.5/log C give M = 1 and M = 2; a suffix ends in a
+        # digit >= 2, so there the table of completions is empty or nearly so
+        for alpha in (0.3, 0.5, 1, 1.5, 2, 3, 1e9, math.inf, 1.5 / math.log(C),
+                      2.5 / math.log(C)):
             assert quotient_counts(alpha, C) == reference_counts(tables, alpha, C), (C, alpha)
 
 
@@ -259,6 +263,18 @@ def test_quotient_counts_walk_matches_per_c_euclid_at_1000():
     tables = {c: reference_D(c) for c in range(3, 1001)}
     for alpha in (1, 2):
         assert quotient_counts(alpha, 1000) == reference_counts(tables, alpha, 1000)
+
+
+def test_quotient_counts_pinned_at_large_C():
+    # counted by the walk over every prefix, without the table of completions
+    assert quotient_counts(1, 10**4) == (8980798, 21406688)
+    tracemalloc.start()
+    try:
+        assert quotient_counts(1, 10**5) == (861087891, 2178462863)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
