@@ -258,8 +258,8 @@ def _suite_cf(args):
         odd[even, n[even] - 1] -= 1
         odd[even, n[even]] = 1
         n[even] += 1
-        back = n[:, None] - 1 - np.arange(odd.shape[1])
-        rev = np.where(back >= 0, np.take_along_axis(odd, np.maximum(back, 0), axis=1), 0)
+        W = odd.shape[1]  # column k takes digit n - 1 - k, past n one of the zero columns
+        rev = np.take_along_axis(odd, (n[:, None] - 1 - np.arange(W)) % W, axis=1)
         p, q, b, d_col = _convergents(odd, n)
         d, den, _, _ = _convergents(rev, n)
         ok_rev = (den == c) & (0 < d) & (d < c) & (a * d % c == 1)

@@ -132,62 +132,52 @@ def _check_trivial_bound(value, a, c, q1, bound):
         )
 
 
-def s_double_sum(chi1, chi2, a, c):
-    """S(a, c) by the defining double sum, O(c*q1) work in double precision.
+def _double_sum_numerator(w1, w2, a, c):
+    """4*q1*c^2 * S(a, c) from w1 = conj(chi1) mod q1 and w2 = conj(chi2) mod q2:
+    exact from integer tables, a complex float from complex ones.
 
-    All B1 arguments are reduced as exact fractions (integer remainders), so
-    the integer-point value 0 is decided exactly, never by float rounding.
-    That value never changes S for admissible input: R = n*c + a*q1*j = 0
-    mod q1*c forces (c/q1) | j, a multiple of q2, so conj(chi2)(j) = 0.
+    4*q1*c^2 * B1(j/c) * B1(R/(q1*c)) = (2j - c) * (2R - q1*c), R = n*c + q1*r mod
+    q1*c, r = a*j mod c. R wraps for n >= q1 - r // (c/q1); as sum_n w1[n] = 0, the
+    sum over n is 2c * (sum_n n*w1[n] - q1 * (w1 summed over the wrapped n)).
+    B1's 0 at R = 0 is not applied: R = 0 forces (c/q1) | j, so q2 | j and w2[j] = 0.
     """
-    gamma = check_admissible(chi1, chi2, a, c)
-    q1, q2 = chi1.modulus, chi2.modulus
+    q1, q2 = len(w1), len(w2)
+    if (q1 * c) ** 2 >= 2**63:  # keeps a*j < c^2 in int64
+        raise ValueError(f"the double sum needs (q1*c)^2 < 2^63, got q1 = {q1}, c = {c}")
     a %= c
-    qc = q1 * c
-    j = np.arange(c)
-    bj = np.where(j == 0, 0.0, j / c - 0.5)
-    w2 = np.conj(chi2.values)[j % q2]
-    inner = np.zeros(c, dtype=complex)
-    for n in range(q1):
-        x = np.conj(chi1.values[n])
-        if x == 0:
-            continue
-        r = (n * c + a * q1 * j) % qc
-        inner += x * np.where(r == 0, 0.0, r / qc - 0.5)
-    value = complex((w2 * bj * inner).sum())
-    D = max_partial_quotient(a, c // q2)
+    moment = (np.arange(q1) * w1).sum().item()
+    tail = np.concatenate(([0], np.cumsum(w1[:0:-1])))  # tail[k]: w1 summed over the last k n
+    plain = wrapped = 0
+    step = 1 << 18  # j values per block: bounds the working set at any c
+    for lo in range(1, c, step):
+        j = np.arange(lo, min(lo + step, c), dtype=np.int64)
+        x = w2[j % q2] * (2 * j - c)
+        plain += x.sum().item()
+        wrapped += (x * tail[a * j % c // (c // q1)]).sum().item()
+    return 2 * c * (moment * plain - q1 * wrapped)
+
+
+def s_double_sum(chi1, chi2, a, c):
+    """S(a, c) by the defining double sum, O(c) work in double precision; every B1
+    argument is an integer remainder, so integer points are decided exactly."""
+    gamma = check_admissible(chi1, chi2, a, c)
+    q1 = chi1.modulus
+    a %= c
+    num = _double_sum_numerator(np.conj(chi1.values), np.conj(chi2.values), a, c)
+    value = complex(num) / (4 * q1 * c * c)
+    D = max_partial_quotient(a, c // chi2.modulus)
     _check_trivial_bound(value, a, c, q1, 0.0)
     return DedekindSumResult(value, "double_sum", 0.0, gamma.d, D)
 
 
 def s_double_sum_exact(chi1, chi2, a, c):
-    """Exact-rational double sum; requires both characters real-valued.
-
-    Off integers B1(j/c) = (2j - c)/(2c) and B1(R/(q1*c)) = (2R - q1*c)/(2*q1*c),
-    R = n*c + a*q1*j mod q1*c, so the sum is an integer over 4*q1*c^2. B1's
-    0 at R = 0 changes nothing: (c/q1) | j there, so conj(chi2)(j) = 0. It is
-    summed in int64 per n mod q1 and block of j, exact while (q1*c)^2 < 2^63.
-    """
+    """s_double_sum's kernel on +-1/0 tables: S(a, c) as a Fraction, chi1 and chi2 real."""
     check_admissible(chi1, chi2, a, c)
     # a real character's exponent on a unit is 0 (value 1) or order/2 (value -1)
     if any(np.any((chi.logs > 0) & (2 * chi.logs != chi.order)) for chi in (chi1, chi2)):
         raise ValueError("exact mode requires real-valued characters")
     t1, t2 = (np.where(chi.logs > 0, -1, chi.logs + 1) for chi in (chi1, chi2))
-    q1, q2 = chi1.modulus, chi2.modulus
-    qc = q1 * c
-    if qc * qc >= 2**63:  # every element product is below (q1*c)^2
-        raise ValueError(f"exact mode needs (q1*c)^2 < 2^63, got q1 = {q1}, c = {c}")
-    a %= c
-    num = 0
-    step = 1 << 18  # j values per block: bounds the working set at any c
-    for lo in range(1, c, step):
-        j = np.arange(lo, min(lo + step, c), dtype=np.int64)
-        inner = np.zeros_like(j)
-        for n in np.flatnonzero(t1).tolist():
-            r = (n * c + a * q1 * j) % qc
-            inner += t1[n] * np.where(r == 0, 0, 2 * r - qc)
-        num += sum((t2[j % q2] * (2 * j - c) * inner).tolist())
-    return Fraction(num, 4 * c * qc)
+    return Fraction(_double_sum_numerator(t1, t2, a, c), 4 * chi1.modulus * c * c)
 
 
 def _truncation_length(c, q2, cp, target_error):

@@ -282,7 +282,9 @@ def test_exact_mode_dw_closed_form_at_a_million():
     assert s_double_sum_exact(LEG5, LEG5, 1 + 2 * 40000 * 5, 40000 * 25) == -80000
 
 
-def test_exact_mode_rejects_int64_overflow_before_building_arrays(monkeypatch):
+@pytest.mark.parametrize("route", [s_double_sum, s_double_sum_exact],
+                         ids=["s_double_sum", "s_double_sum_exact"])
+def test_exact_mode_rejects_int64_overflow_before_building_arrays(monkeypatch, route):
     def refuse(*args, **kwargs):
         raise AssertionError("array built")
 
@@ -292,10 +294,47 @@ def test_exact_mode_rejects_int64_overflow_before_building_arrays(monkeypatch):
     # sqrt(2^63)/5; the multiple below it passes the range check
     for c in (25 * 3 * 10**7, 607400100):
         with pytest.raises(ValueError, match="2\\^63"):
-            s_double_sum_exact(LEG5, LEG5, 1, c)
+            route(LEG5, LEG5, 1, c)
     assert (5 * 607400075) ** 2 < 2**63 <= (5 * 607400100) ** 2
     with pytest.raises(AssertionError, match="array built"):
-        s_double_sum_exact(LEG5, LEG5, 1, 607400075)
+        route(LEG5, LEG5, 1, 607400075)
+
+
+def defining_sum_float(chi1, chi2, a, c):
+    """The definition summed term by term, each exact B1 of Fractions as a float."""
+    q1 = chi1.modulus
+    total = 0j
+    for j in range(c):
+        for n in range(q1):
+            w = chi2(j).conjugate() * chi1(n).conjugate()
+            x = Fraction(n, q1) + Fraction(a * j, c)
+            total += w * float(exact_b1(Fraction(j, c))) * float(exact_b1(x))
+    return total
+
+
+COMPLEX_PAIRS = [(QUARTIC, QUARTIC), (QUARTIC, QUARTIC.conjugate()), (ORDER6, ORDER6),
+                 (QUARTIC, ORDER6)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(data=st.data())
+def test_double_sum_matches_definition_on_complex_pairs(data):
+    chi1, chi2 = data.draw(st.sampled_from(COMPLEX_PAIRS))
+    c = chi1.modulus * chi2.modulus * data.draw(st.integers(1, 3))
+    a = data.draw(st.integers(-c, 2 * c - 1))
+    assume(math.gcd(a, c) == 1)
+    assert abs(s_double_sum(chi1, chi2, a, c).value - defining_sum_float(chi1, chi2, a, c)) < 1e-10
+
+
+def test_double_sum_is_the_rounded_exact_value_for_legendre_5():
+    # s_double_sum sums the integer 4*q1*c^2*S in floats and divides once, so it
+    # is the correctly rounded Fraction while |4*q1*c^2*S| and the kernel's
+    # partial sums stay below 2^53: c <= 900 lies far inside that range
+    for c in range(25, 901, 25):
+        for a in range(1, c):
+            if math.gcd(a, c) == 1:
+                got = s_double_sum(LEG5, LEG5, a, c).value
+                assert got == complex(float(s_double_sum_exact(LEG5, LEG5, a, c))), (a, c)
 
 
 def test_dw_exact_values():
