@@ -48,6 +48,7 @@ from .dedekind import (
     s_analytic_table,
     s_double_sum,
     s_double_sum_exact,
+    s_double_sum_table,
 )
 from .errors import (
     CertificationError,

@@ -47,6 +47,7 @@ __all__ = [
     "check_agreement",
     "s_double_sum",
     "s_double_sum_exact",
+    "s_double_sum_table",
     "f_eval",
     "phi_eval",
     "s_analytic",
@@ -132,42 +133,57 @@ def _check_trivial_bound(value, a, c, q1, bound):
         )
 
 
-def _double_sum_numerator(w1, w2, a, c):
-    """4*q1*c^2 * S(a, c) from w1 = conj(chi1) mod q1 and w2 = conj(chi2) mod q2:
-    exact from integer tables, a complex float from complex ones.
+def _double_sum_numerator(w1, w2, c, a=None):
+    """(a, [4*q1*c^2 * S(a, c) for each a]) from w1 = conj(chi1) mod q1 and
+    w2 = conj(chi2) mod q2: exact ints from integer tables, complex floats from
+    complex ones. a is an int64 array in [0, c), or None for every unit mod c.
 
     4*q1*c^2 * B1(j/c) * B1(R/(q1*c)) = (2j - c) * (2R - q1*c), R = n*c + q1*r mod
     q1*c, r = a*j mod c. R wraps for n >= q1 - r // (c/q1); as sum_n w1[n] = 0, the
     sum over n is 2c * (sum_n n*w1[n] - q1 * (w1 summed over the wrapped n)).
     B1's 0 at R = 0 is not applied: R = 0 forces (c/q1) | j, so q2 | j and w2[j] = 0.
+    Every a is summed over the same blocks of j, so its value is the same in any call.
     """
     q1, q2 = len(w1), len(w2)
-    if (q1 * c) ** 2 >= 2**63:  # keeps a*j < c^2 in int64
+    if (q1 * c) ** 2 >= 2**63:  # keeps a*j < c^2 and a row's sums in int64
         raise ValueError(f"the double sum needs (q1*c)^2 < 2^63, got q1 = {q1}, c = {c}")
-    a %= c
+    if a is None:
+        a = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
     moment = (np.arange(q1) * w1).sum().item()
     tail = np.concatenate(([0], np.cumsum(w1[:0:-1])))  # tail[k]: w1 summed over the last k n
-    plain = wrapped = 0
-    step = 1 << 18  # j values per block: bounds the working set at any c
-    for lo in range(1, c, step):
-        j = np.arange(lo, min(lo + step, c), dtype=np.int64)
-        x = w2[j % q2] * (2 * j - c)
-        plain += x.sum().item()
-        wrapped += (x * tail[a * j % c // (c // q1)]).sum().item()
-    return 2 * c * (moment * plain - q1 * wrapped)
+    step = 1 << 18  # entries per block of j and per (a, j) block: bounds the working set
+    rows = max(1, step // c)
+    nums = []
+    for r in range(0, len(a), rows):
+        plain = wrapped = 0  # x and plain repeat per chunk: O(c) next to O(rows * c)
+        for lo in range(1, c, step):
+            j = np.arange(lo, min(lo + step, c), dtype=np.int64)
+            x = w2[j % q2] * (2 * j - c)
+            plain += x.sum().item()
+            wrapped += (x * tail[a[r:r + rows, None] * j % c // (c // q1)]).sum(1)
+        nums += [2 * c * (moment * plain - q1 * w) for w in wrapped.tolist()]
+    return a, nums
+
+
+def _double_sum_rows(chi1, chi2, c, a=None):
+    """[(a, d, S(a, c), 0.0)] from one kernel call on the complex tables, for the
+    int64 array a or (None) every unit mod c; each S is held to the trivial bound."""
+    q1 = chi1.modulus
+    a, nums = _double_sum_numerator(np.conj(chi1.values), np.conj(chi2.values), c, a)
+    rows = [(x, pow(x, -1, c), complex(num) / (4 * q1 * c * c), 0.0)
+            for x, num in zip(a.tolist(), nums)]
+    for x, _, value, _ in rows:
+        _check_trivial_bound(value, x, c, q1, 0.0)
+    return rows
 
 
 def s_double_sum(chi1, chi2, a, c):
     """S(a, c) by the defining double sum, O(c) work in double precision; every B1
     argument is an integer remainder, so integer points are decided exactly."""
-    gamma = check_admissible(chi1, chi2, a, c)
-    q1 = chi1.modulus
-    a %= c
-    num = _double_sum_numerator(np.conj(chi1.values), np.conj(chi2.values), a, c)
-    value = complex(num) / (4 * q1 * c * c)
+    check_admissible(chi1, chi2, a, c)
+    (a, d, value, _), = _double_sum_rows(chi1, chi2, c, np.array([a % c]))
     D = max_partial_quotient(a, c // chi2.modulus)
-    _check_trivial_bound(value, a, c, q1, 0.0)
-    return DedekindSumResult(value, "double_sum", 0.0, gamma.d, D)
+    return DedekindSumResult(value, "double_sum", 0.0, d, D)
 
 
 def s_double_sum_exact(chi1, chi2, a, c):
@@ -177,7 +193,16 @@ def s_double_sum_exact(chi1, chi2, a, c):
     if any(np.any((chi.logs > 0) & (2 * chi.logs != chi.order)) for chi in (chi1, chi2)):
         raise ValueError("exact mode requires real-valued characters")
     t1, t2 = (np.where(chi.logs > 0, -1, chi.logs + 1) for chi in (chi1, chi2))
-    return Fraction(_double_sum_numerator(t1, t2, a, c), 4 * chi1.modulus * c * c)
+    _, (num,) = _double_sum_numerator(t1, t2, c, np.array([a % c]))
+    return Fraction(num, 4 * chi1.modulus * c * c)
+
+
+def s_double_sum_table(chi1, chi2, c):
+    """s_double_sum for every unit a mod c from one kernel call, O(c * phi(c)) work:
+    [(a, d, value, 0.0)] for the units a = 1..c-1 in order, each row equal to
+    s_double_sum(chi1, chi2, a, c)'s a, d_used and value."""
+    check_admissible(chi1, chi2, c=c)
+    return _double_sum_rows(chi1, chi2, c)
 
 
 def _truncation_length(c, q2, cp, target_error):

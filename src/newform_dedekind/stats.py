@@ -1,10 +1,11 @@
 """Sweep harnesses over admissible (a, c) with deterministic emission.
 
 scan_F counts threshold exceedances |S| > alpha * log^3(C_max) over
-1 <= a < c <= C_max with gcd(a, c) = 1 and q1*q2 | c. The analytic route
-evaluates each c with one dedekind.s_analytic_table call, which serves
-every a mod c; the c values run in order in the calling thread. second_moment
-uses the same per-c table.
+1 <= a < c <= C_max with gcd(a, c) = 1 and q1*q2 | c. Each c takes one table
+call for every a mod c: dedekind.s_analytic_table (analytic), or
+dedekind.s_double_sum_table (double_sum, and the reference checked by 'both').
+The c values run in order in the calling thread; second_moment uses the same
+per-c tables.
 """
 from __future__ import annotations
 
@@ -77,25 +78,20 @@ class LargevalRecord:
 
 def _s_rows(chi1, chi2, c, method, target_error):
     """(a, d, S, truncation_bound) for every unit a mod c by the chosen route."""
-    if method != "double_sum":
-        return dedekind.s_analytic_table(chi1, chi2, c, target_error)
-    rows = []
-    for a in range(1, c):
-        if math.gcd(a, c) == 1:
-            res = dedekind.s_double_sum(chi1, chi2, a, c)
-            rows.append((a, res.d_used, res.value, 0.0))
-    return rows
+    if method == "double_sum":
+        return dedekind.s_double_sum_table(chi1, chi2, c)
+    return dedekind.s_analytic_table(chi1, chi2, c, target_error)
 
 
 def _scan_one_c(c, chi1, chi2, threshold, method, target_error, exceed_only):
     cp = c // chi2.modulus
     count = 0
     records = []
-    max_dev = 0.0
-    for a, d, val, bound in _s_rows(chi1, chi2, c, method, target_error):
-        if method == "both":
-            ref = dedekind.s_double_sum(chi1, chi2, a, c)
-            max_dev = max(max_dev, dedekind.check_agreement(val, ref.value, bound, a, c))
+    rows = _s_rows(chi1, chi2, c, method, target_error)
+    refs = dedekind.s_double_sum_table(chi1, chi2, c) if method == "both" else ()
+    max_dev = max((dedekind.check_agreement(val, ref[2], bound, a, c)
+                   for (a, _, val, bound), ref in zip(rows, refs)), default=0.0)
+    for a, d, val, bound in rows:
         sabs = abs(val)
         exceeds = sabs > threshold
         if exceeds:
@@ -154,7 +150,6 @@ def second_moment(chi1, chi2, c, method="analytic", target_error=1e-6):
     """Sum of |S(a, c)|^2 over the phi(c) residues coprime to c."""
     if method not in ("analytic", "double_sum"):
         raise ValueError(f"unknown method {method!r}")
-    dedekind.check_admissible(chi1, chi2, c=c)
     rows = _s_rows(chi1, chi2, c, method, target_error)
     return sum((abs(val) ** 2 for _, _, val, _ in rows), 0.0)
 
@@ -264,43 +259,28 @@ def emit(records, fmt="csv", dest=None):
 def read_records(source, fmt="csv"):
     """Parse emitted scan records back (path, file-like, or text).
 
-    A str containing a newline is the emitted text itself (emit's output
-    always ends in one); any other str or path-like is a file path.
+    A str that is empty or holds a newline is emitted text (all of emit's
+    output but "" ends in one); any other str or path-like is a file path.
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, str) and "\n" in source:
+    elif isinstance(source, str) and ("\n" in source or not source):
         text = source
     else:
         with open(source) as fh:
             text = fh.read()
-    records = []
     if fmt == "csv":
-        reader = csv.DictReader(io.StringIO(text))
-        for row in reader:
-            records.append(
-                ScanRecord(
-                    c=int(row["c"]),
-                    a=int(row["a"]),
-                    d=int(row["d"]),
-                    D=int(row["D"]),
-                    cf_len=int(row["cf_len"]),
-                    S_re=float(row["S_re"]),
-                    S_im=float(row["S_im"]),
-                    S_abs=float(row["S_abs"]),
-                    bound_ratio=float(row["bound_ratio"]),
-                    exceeds_threshold=row["exceeds"] == "1",
-                )
-            )
-    elif fmt == "jsonl":
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            row["exceeds_threshold"] = bool(row.pop("exceeds"))
-            records.append(ScanRecord(**row))
+        ints = {"c", "a", "d", "D", "cf_len", "exceeds"}  # the other columns are floats
+        rows = [{k: (int if k in ints else float)(v) for k, v in row.items()}
+                for row in csv.DictReader(io.StringIO(text))]
+    else:
+        rows = [json.loads(line) for line in text.splitlines() if line.strip()]
+    records = []
+    for row in rows:
+        row["exceeds_threshold"] = bool(row.pop("exceeds"))
+        records.append(ScanRecord(**row))
     return records
 
 

@@ -1,5 +1,4 @@
 """End-to-end runs of the nfds entry point via main(argv)."""
-import dataclasses
 import json
 import math
 
@@ -264,13 +263,12 @@ def test_certification_error_exits_one(capsys, monkeypatch):
 
 
 def test_scan_both_disagreement_exits_one(capsys, monkeypatch):
-    real = dedekind.s_double_sum
+    real = dedekind.s_double_sum_table
 
     def perturbed(*args):
-        res = real(*args)
-        return dataclasses.replace(res, value=res.value + 1e-3)
+        return [(a, d, value + 1e-3, bound) for a, d, value, bound in real(*args)]
 
-    monkeypatch.setattr(dedekind, "s_double_sum", perturbed)
+    monkeypatch.setattr(dedekind, "s_double_sum_table", perturbed)
     rc, _, err = run(capsys, ["scan", *PAIR, "--C", "50", "--alpha", "1", "--method", "both"])
     assert rc == 1
     last = err.strip().split("\n")[-1]

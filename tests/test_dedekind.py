@@ -19,7 +19,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from newform_dedekind.characters import character_from_index, legendre_character
+from newform_dedekind.characters import (
+    character_from_index,
+    enumerate_characters,
+    is_primitive,
+    legendre_character,
+)
 from newform_dedekind.dedekind import (
     DedekindSumResult,
     GammaMatrix,
@@ -36,6 +41,7 @@ from newform_dedekind.dedekind import (
     s_analytic_table,
     s_double_sum,
     s_double_sum_exact,
+    s_double_sum_table,
 )
 from newform_dedekind import dedekind
 from newform_dedekind.characters import l2_principal, l2_value, character_product
@@ -282,8 +288,11 @@ def test_exact_mode_dw_closed_form_at_a_million():
     assert s_double_sum_exact(LEG5, LEG5, 1 + 2 * 40000 * 5, 40000 * 25) == -80000
 
 
-@pytest.mark.parametrize("route", [s_double_sum, s_double_sum_exact],
-                         ids=["s_double_sum", "s_double_sum_exact"])
+@pytest.mark.parametrize(
+    "route",
+    [s_double_sum, s_double_sum_exact, lambda x, y, a, c: s_double_sum_table(x, y, c)],
+    ids=["s_double_sum", "s_double_sum_exact", "s_double_sum_table"],
+)
 def test_exact_mode_rejects_int64_overflow_before_building_arrays(monkeypatch, route):
     def refuse(*args, **kwargs):
         raise AssertionError("array built")
@@ -335,6 +344,42 @@ def test_double_sum_is_the_rounded_exact_value_for_legendre_5():
             if math.gcd(a, c) == 1:
                 got = s_double_sum(LEG5, LEG5, a, c).value
                 assert got == complex(float(s_double_sum_exact(LEG5, LEG5, a, c))), (a, c)
+
+
+def _admissible_pairs(moduli):
+    prim = [chi for q in moduli for chi in enumerate_characters(q)
+            if not chi.is_principal and is_primitive(chi)]
+    return [(x, y) for x in prim for y in prim if x.parity * y.parity == 1]
+
+
+SMALL_PAIRS = _admissible_pairs((3, 4, 5, 7, 8, 11, 12, 13))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(pair=st.sampled_from(SMALL_PAIRS), k=st.integers(1, 6))
+def test_double_sum_table_rows_equal_s_double_sum(pair, k):
+    chi1, chi2 = pair
+    c = chi1.modulus * chi2.modulus * k
+    rows = s_double_sum_table(chi1, chi2, c)
+    assert [row[0] for row in rows] == [a for a in range(1, c) if math.gcd(a, c) == 1]
+    for a, d, value, bound in rows:
+        ref = s_double_sum(chi1, chi2, a, c)
+        assert (value, d, bound) == (ref.value, ref.d_used, 0.0), (a, c)
+
+
+@pytest.mark.parametrize("chi1, chi2", [(LEG3, LEG3), (LEG5, LEG5), (LEG7, LEG7),
+                                        (LEG3, LEG7), (LEG7, LEG3)],
+                         ids=["3-3", "5-5", "7-7", "3-7", "7-3"])
+def test_q1_times_s_is_an_integer_for_legendre_pairs(chi1, chi2):
+    # A tested observation, not a certificate: 4*c^2 divides the exact numerator
+    # 4*q1*c^2*S, so q1*S is an integer, for every unit a mod c at c <= 40*q1*q2.
+    # Nothing here proves it beyond that range, and no rounding relies on it.
+    t1, t2 = (np.rint(chi.values.real).astype(np.int64) for chi in (chi1, chi2))
+    q1q2 = chi1.modulus * chi2.modulus
+    for c in range(q1q2, 40 * q1q2 + 1, q1q2):
+        units, nums = dedekind._double_sum_numerator(t1, t2, c)
+        assert len(nums) == len(units) > 0
+        assert all(num % (4 * c * c) == 0 for num in nums), c
 
 
 def test_dw_exact_values():

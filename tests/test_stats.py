@@ -136,6 +136,12 @@ def test_second_moment_at_1800_matches_exact():
     assert abs(approx - 200096) < 1e-4
 
 
+def test_second_moment_by_double_sum_is_exact_for_legendre_5():
+    # the double-sum table's floats square and sum to the exact integer moments
+    for c, want in ((225, 4592.0), (450, 12016.0), (900, 49728.0), (1800, 200096.0)):
+        assert second_moment(LEG5, LEG5, c, method="double_sum") == want
+
+
 def test_second_moment_rejects_unknown_method():
     for method in ("fast", "both"):
         with pytest.raises(ValueError, match="unknown method"):
@@ -194,6 +200,14 @@ def test_emit_read_round_trip():
             assert (r1.c, r1.a, r1.d, r1.D, r1.cf_len) == (r2.c, r2.a, r2.d, r2.D, r2.cf_len)
             assert r1.exceeds_threshold == r2.exceeds_threshold
             assert abs(r1.S_abs - r2.S_abs) <= 1e-11 * max(1.0, r2.S_abs)
+
+
+def test_emit_read_round_trip_empty():
+    # emit([], "jsonl") is "": read_records takes it as text, not as a path
+    for fmt in ("csv", "jsonl"):
+        text = emit([], fmt)
+        assert read_records(text, fmt) == []
+        assert emit(read_records(text, fmt), fmt) == text
 
 
 def test_read_records_path_with_comma(tmp_path):
