@@ -61,6 +61,9 @@ def cmd_compute(args):
         results["double_sum"] = dedekind.s_double_sum(chi1, chi2, args.a, args.c)
     if args.method in ("analytic", "both"):
         results["analytic"] = dedekind.s_analytic(chi1, chi2, args.a, args.c, args.eps)
+    if args.method == "both":  # the routes must agree before anything prints
+        an, ds = results["analytic"], results["double_sum"]
+        dedekind.check_agreement(an.value, ds.value, an.truncation_bound, args.a, args.c)
     primary = results.get("analytic", results.get("double_sum"))
     print(f"S = {_fmt_s(primary.value)}")
     for name, res in results.items():
@@ -112,10 +115,7 @@ def cmd_scan(args):
     )
     count, records = stats.scan_F(config)
     print(f"count = {count}", file=sys.stderr)
-    if args.out:
-        stats.emit(records, args.format, args.out)
-    else:
-        sys.stdout.write(stats.emit(records, args.format))
+    stats.emit(records, args.format, args.out or sys.stdout)
     summary = stats.summarize(config, count, records)
     if args.summary:
         with open(args.summary, "w") as fh:
@@ -143,10 +143,7 @@ def cmd_largeval(args):
     records = stats.largeval_sweep(
         chi1, chi2, args.n, range(args.kmin, args.kmax + 1), args.eps
     )
-    if args.out:
-        stats.emit(records, args.format, args.out)
-    else:
-        sys.stdout.write(stats.emit(records, args.format))
+    stats.emit(records, args.format, args.out or sys.stdout)
     return 0
 
 

@@ -205,16 +205,24 @@ def s_double_sum_table(chi1, chi2, c):
     return _double_sum_rows(chi1, chi2, c)
 
 
-def _truncation_length(c, q2, cp, target_error):
-    """Smallest L >= c' whose certified tail bound is <= target_error."""
+def _f_terms(chi1, chi2, c, target_error):
+    """The set-up of f_eval and _f_table at c, which no numerator changes.
+
+    Returns (L, tail bound, l = 1..L, exp(-t), -expm1(-t), chi1(l), terms), t =
+    2*pi*l/c', terms the pairs (k0, conj(chi2)(k0) * exp(-2*pi*k0*l/c)) with
+    conj(chi2)(k0) != 0 as a generator, so f_eval holds one decay array at a
+    time (about half its peak memory). L is the smallest L >= c' whose
+    certified tail bound 2*q2*(c/(2*pi*L))*exp(-2*pi*L/c) is <= target_error.
+    """
+    if target_error <= 0:
+        raise ValueError("target_error must be positive")
+    q1, q2 = chi1.modulus, chi2.modulus
+    cp = c // q2
 
     def tail(L):
         return 2 * q2 * c / (2 * math.pi * L) * math.exp(-2 * math.pi * L / c)
 
-    lo = cp
-    if tail(lo) <= target_error:
-        return lo, tail(lo)
-    hi = lo
+    lo = hi = cp
     while tail(hi) > target_error:
         hi *= 2
     while lo + 1 < hi:
@@ -223,7 +231,21 @@ def _truncation_length(c, q2, cp, target_error):
             hi = mid
         else:
             lo = mid
-    return hi, tail(hi)
+    l = np.arange(1, hi + 1)
+    t = 2 * np.pi * l / cp
+    chi2bar = np.conj(chi2.values)
+    terms = ((k0, chi2bar[k0 % q2] * np.exp(-2 * np.pi * k0 * l / c))
+             for k0 in range(1, q2 + 1) if chi2bar[k0 % q2] != 0)
+    return hi, float(tail(hi)), l, np.exp(-t), -np.expm1(-t), chi1.values[l % q1], terms
+
+
+def _folded_sines(r, cp):
+    """sin^2(pi*x) and sin(2*pi*x) at x = r/c' reduced exactly mod 1, then
+    folded to (-1/2, 1/2], so that 1 - theta is cancellation-safe."""
+    frac = (r % cp) / cp
+    frac = np.where(frac > 0.5, frac - 1.0, frac)
+    ang = np.pi * frac
+    return np.sin(ang) ** 2, np.sin(2 * ang)
 
 
 def _check_tail_guard(one_minus_theta, c, out=None):
@@ -238,44 +260,28 @@ def f_eval(chi1, chi2, numerator, c, target_error):
 
     Closed form: sum over l >= 1 of chi1(l) / (l * (1 - theta)) times
     sum_{k0=1..q2} conj(chi2)(k0) e(k0*l*z), where theta = e(l*(numerator+i)/c').
-    The series is truncated at the smallest L >= c' with
-    2*q2*(c/(2*pi*L))*exp(-2*pi*L/c) <= target_error; that bound is returned.
+    The series is truncated at _f_terms' L; its tail bound is returned.
     """
-    q1, q2 = chi1.modulus, chi2.modulus
+    q2 = chi2.modulus
     if c < 1 or c % q2:
         raise DivisibilityError(f"q2 = {q2} must divide c = {c}")
     if math.gcd(numerator, c) != 1:
         raise CoprimalityError(f"gcd({numerator}, {c}) != 1")
-    if target_error <= 0:
-        raise ValueError("target_error must be positive")
+    L, tbound, l, emt, re_base, chi1_l, terms = _f_terms(chi1, chi2, c, target_error)
     cp = c // q2
-    L, tbound = _truncation_length(c, q2, cp, target_error)
-    l = np.arange(1, L + 1)
-    # 1 - theta, cancellation-safe: with theta = exp(-t) * e(x),
-    # Re = -expm1(-t) + exp(-t)*2*sin^2(pi*x), Im = -exp(-t)*sin(2*pi*x),
-    # and x = l*numerator/c' reduced exactly mod 1 then folded to (-1/2, 1/2].
-    t = 2 * np.pi * l / cp
-    frac = ((l * (numerator % cp)) % cp) / cp
-    frac = np.where(frac > 0.5, frac - 1.0, frac)
-    ang = np.pi * frac
-    emt = np.exp(-t)
-    one_minus_theta = (-np.expm1(-t) + emt * 2 * np.sin(ang) ** 2) - 1j * (
-        emt * np.sin(2 * ang)
-    )
+    # 1 - theta with theta = exp(-t) * e(x), x = l*numerator/c':
+    # Re = -expm1(-t) + exp(-t)*2*sin^2(pi*x), Im = -exp(-t)*sin(2*pi*x)
+    sin_sq, sin_2ang = _folded_sines(l * (numerator % cp), cp)
+    one_minus_theta = (re_base + emt * 2 * sin_sq) - 1j * (emt * sin_2ang)
     # for l >= c' the tail analysis needs |theta| < 1/2, so |1 - theta| >= 1/2
     _check_tail_guard(one_minus_theta[l >= cp], c)
-    coeff = chi1.values[l % q1] / (l * one_minus_theta)
+    coeff = chi1_l / (l * one_minus_theta)
     num_c = numerator % c
-    chi2bar = np.conj(chi2.values)
     inner = np.zeros(L, dtype=complex)
-    for k0 in range(1, q2 + 1):
-        w = chi2bar[k0 % q2]
-        if w == 0:
-            continue
+    for k0, w_decay in terms:
         rk = (k0 * l % c) * num_c % c
-        inner += w * np.exp(-2 * np.pi * k0 * l / c) * np.exp(2j * np.pi * rk / c)
-    value = complex((coeff * inner).sum())
-    return value, float(tbound)
+        inner += w_decay * np.exp(2j * np.pi * rk / c)
+    return complex((coeff * inner).sum()), tbound
 
 
 def phi_eval(chi1, chi2, gamma, target_error):
@@ -285,11 +291,6 @@ def phi_eval(chi1, chi2, gamma, target_error):
     f evaluations, so the returned bound is <= target_error.
     """
     check_admissible(chi1, chi2, gamma.a, gamma.c)
-    return _phi(chi1, chi2, gamma, target_error)
-
-
-def _phi(chi1, chi2, gamma, target_error):
-    """phi_eval without the check, for a gamma that s_analytic has checked."""
     half = target_error / 2
     fa, ba = f_eval(chi1, chi2, gamma.a, gamma.c, half)
     fd, bd = f_eval(chi1, chi2, -gamma.d, gamma.c, half)
@@ -297,24 +298,42 @@ def _phi(chi1, chi2, gamma, target_error):
     return fa - psi * fd, ba + abs(psi) * bd
 
 
+def _analytic_rows(chi1, chi2, c, F, fb, units):
+    """[(a, d, S(a, c), bound)] for each a in units, the twin of _double_sum_rows.
+
+    F[x] is f at numerator x with tail bound fb (a list indexed mod c, or a dict
+    holding a and -d). S = tau(conj(chi1))/(pi*i) * (F[a] - psi * F[-d]) with
+    d = a^-1 mod c and psi = chi1(d) * conj(chi2)(d), bounded by |tau|/pi *
+    (1 + |psi|) * fb; each S is held to the trivial bound."""
+    q1 = chi1.modulus
+    tau = gauss_sum(chi1.conjugate())
+    scale, bound_scale = tau / (math.pi * 1j), abs(tau) / math.pi
+    rows = []
+    for a in units:
+        d = pow(a, -1, c)
+        psi = chi1(d) * chi2(d).conjugate()
+        value = scale * (F[a] - psi * F[-d])
+        bound = bound_scale * (fb + abs(psi) * fb)
+        _check_trivial_bound(value, a, c, q1, bound)
+        rows.append((a, d, value, bound))
+    return rows
+
+
 def s_analytic(chi1, chi2, a, c, target_error=1e-8):
     """S(a, c) via the analytic route: two f series, O(L*q2) work per call.
 
-    value = gauss_sum(conj(chi1)) / (pi*i) * phi(gamma); the returned
-    truncation_bound is the phi bound scaled by |tau|/pi = sqrt(q1)/pi.
+    _analytic_rows' one row, with f at a and -d from f_eval at target_error/2
+    each; the truncation_bound is that of phi scaled by |tau|/pi = sqrt(q1)/pi.
     L ~ c*ln(1/target_error)/(2*pi) grows with c, so this is the single-query
     route; sweeps over every a mod c use s_analytic_table.
     """
     gamma = check_admissible(chi1, chi2, a, c)
-    q1, q2 = chi1.modulus, chi2.modulus
     a %= c
-    phi, tb = _phi(chi1, chi2, gamma, target_error)
-    tau = gauss_sum(chi1.conjugate())
-    value = tau / (math.pi * 1j) * phi
-    bound = abs(tau) / math.pi * tb
-    D = max_partial_quotient(a, c // q2)
-    _check_trivial_bound(value, a, c, q1, bound)
-    return DedekindSumResult(value, "analytic", bound, gamma.d, D)
+    fa, fb = f_eval(chi1, chi2, a, c, target_error / 2)
+    fd, _ = f_eval(chi1, chi2, -gamma.d, c, target_error / 2)
+    (_, d, value, bound), = _analytic_rows(chi1, chi2, c, {a: fa, -gamma.d: fd}, fb, [a])
+    D = max_partial_quotient(a, c // chi2.modulus)
+    return DedekindSumResult(value, "analytic", bound, d, D)
 
 
 # complex entries per row block of the f table: bounds the kernel's working
@@ -337,41 +356,25 @@ def _work_arrays(size):
     return arrays
 
 
-def _f_table(chi1, chi2, c, target_error):
-    """f_eval(chi1, chi2, x, c, target_error) for every unit x mod c at once.
+def _f_table(chi1, chi2, c, target_error, units):
+    """f_eval(chi1, chi2, x, c, target_error) for every x in units at once.
 
-    Returns (F, bound) with F[x] the value (None off the units). The same
-    truncation length, bound and per-term arithmetic as f_eval, so each
-    value is bit-identical to it: the x-independent factors are built once,
-    e(r/c) and the folded sines of pi*r/c' are read from residue tables
-    indexed by r = l*x mod c, and the units are taken in row blocks of at
-    most _TABLE_BLOCK terms, computed in place in this thread's work arrays.
+    Returns (F, bound) with F[x] the value (None off the units). f_eval's
+    _f_terms, _folded_sines and per-term arithmetic, so each value is
+    bit-identical to it: e(r/c) and the folded sines of pi*r/c' are read from
+    residue tables indexed by r = l*x mod c, and the units are taken in row
+    blocks of at most _TABLE_BLOCK terms, in place in this thread's work arrays.
     """
-    q1, q2 = chi1.modulus, chi2.modulus
+    q2 = chi2.modulus
     cp = c // q2
-    L, tbound = _truncation_length(c, q2, cp, target_error)
-    l = np.arange(1, L + 1)
-    t = 2 * np.pi * l / cp
-    emt = np.exp(-t)
+    L, tbound, l, emt, re_base, chi1_l, terms = _f_terms(chi1, chi2, c, target_error)
+    terms = list(terms)  # every row block reads every term
     emt2 = emt * 2
-    re_base = -np.expm1(-t)
     # l*x mod c' = (l*x mod c) mod c', so the sine tables have length c too
-    frac = (np.arange(c) % cp) / cp
-    frac = np.where(frac > 0.5, frac - 1.0, frac)
-    ang = np.pi * frac
-    sin_sq = np.sin(ang) ** 2
-    sin_2ang = np.sin(2 * ang)
+    sin_sq, sin_2ang = _folded_sines(np.arange(c), cp)
     # e(r/c) for 0 <= r < q2*c, so k0*(l*x mod c) needs no further reduction
     e_ext = np.tile(np.exp(2j * np.pi * np.arange(c) / c), q2)
-    chi1_l = chi1.values[l % q1]
     l_mod_c = l % c
-    chi2bar = np.conj(chi2.values)
-    terms = [
-        (k0, chi2bar[k0 % q2] * np.exp(-2 * np.pi * k0 * l / c))
-        for k0 in range(1, q2 + 1)
-        if chi2bar[k0 % q2] != 0
-    ]
-    units = [x for x in range(1, c) if math.gcd(x, c) == 1]
     rows = max(1, _TABLE_BLOCK // L)
     # the block loop computes in place (out=) in the work arrays
     work = _work_arrays(max(_TABLE_BLOCK, L))
@@ -397,7 +400,7 @@ def _f_table(chi1, chi2, c, target_error):
         np.multiply(omt, inner, out=inner)
         for i, x in enumerate(block):
             F[x] = complex(inner[i].sum())
-    return F, float(tbound)
+    return F, tbound
 
 
 def s_analytic_table(chi1, chi2, c, target_error=1e-8):
@@ -406,28 +409,13 @@ def s_analytic_table(chi1, chi2, c, target_error=1e-8):
     Returns [(a, d, value, truncation_bound)] for the units a = 1..c-1 in
     order; each row equals s_analytic(chi1, chi2, a, c, target_error)'s a,
     d_used, value and truncation_bound exactly. f is tabulated once at every
-    unit x (with phi_eval's target_error/2) and each value serves both a and
-    -d; the rows are combined with s_analytic's scalar arithmetic.
+    unit x (with s_analytic's target_error/2) and each value serves both a
+    and -d; the rows come from the same _analytic_rows.
     """
     check_admissible(chi1, chi2, c=c)
-    q1 = chi1.modulus
-    if target_error <= 0:
-        raise ValueError("target_error must be positive")
-    F, fb = _f_table(chi1, chi2, c, target_error / 2)
-    tau = gauss_sum(chi1.conjugate())
-    scale = tau / (math.pi * 1j)
-    bound_scale = abs(tau) / math.pi
-    rows = []
-    for a in range(1, c):
-        if F[a] is None:
-            continue
-        d = pow(a, -1, c)
-        psi = chi1(d) * chi2(d).conjugate()
-        value = scale * (F[a] - psi * F[c - d])
-        bound = bound_scale * (fb + abs(psi) * fb)
-        _check_trivial_bound(value, a, c, q1, bound)
-        rows.append((a, d, value, bound))
-    return rows
+    units = [x for x in range(1, c) if math.gcd(x, c) == 1]
+    F, fb = _f_table(chi1, chi2, c, target_error / 2, units)
+    return _analytic_rows(chi1, chi2, c, F, fb, units)
 
 
 def dw_exact(p, k, l):

@@ -1,4 +1,5 @@
 """End-to-end runs of the nfds entry point via main(argv)."""
+import dataclasses
 import json
 import math
 
@@ -273,6 +274,21 @@ def test_scan_both_disagreement_exits_one(capsys, monkeypatch):
     assert rc == 1
     last = err.strip().split("\n")[-1]
     assert last.startswith("certification error: method disagreement 0.001 at (a=")
+
+
+def test_compute_both_disagreement_exits_one_before_printing(capsys, monkeypatch):
+    real = dedekind.s_double_sum
+
+    def perturbed(*args):
+        res = real(*args)
+        return dataclasses.replace(res, value=res.value + 1e-3)
+
+    monkeypatch.setattr(dedekind, "s_double_sum", perturbed)
+    rc, out, err = run(capsys, ["compute", *PAIR, "--a", "6", "--c", "25"])
+    assert rc == 1
+    assert out == ""
+    last = err.strip().split("\n")[-1]
+    assert last.startswith("certification error: method disagreement 0.001 at (a=6, c=25)")
 
 
 def test_moment_values(capsys):

@@ -497,6 +497,27 @@ def test_analytic_table_rows_equal_s_analytic(chi1, chi2, cs, eps):
             assert (value, d, bound) == (ref.value, ref.d_used, ref.truncation_bound)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(pair=st.sampled_from(SMALL_PAIRS), data=st.data(),
+       eps=st.floats(-12, -4).map(lambda e: 10.0**e))
+def test_analytic_table_rows_equal_s_analytic_on_random_pairs(pair, data, eps):
+    # both routes share _f_terms, _folded_sines and _analytic_rows; the table
+    # reads f at c - d where s_analytic evaluates f_eval at -d, so f_eval must
+    # depend on its numerator mod c alone, bit for bit
+    chi1, chi2 = pair
+    q1q2 = chi1.modulus * chi2.modulus
+    c = q1q2 * data.draw(st.integers(1, 400 // q1q2))
+    rows = s_analytic_table(chi1, chi2, c, eps)
+    assert [row[0] for row in rows] == [a for a in range(1, c) if math.gcd(a, c) == 1]
+    for a, d, value, bound in rows:
+        ref = s_analytic(chi1, chi2, a, c, eps)
+        assert (value, d, bound) == (ref.value, ref.d_used, ref.truncation_bound), (a, c)
+    x = data.draw(st.sampled_from([row[0] for row in rows]))
+    f = f_eval(chi1, chi2, x, c, eps)
+    assert f_eval(chi1, chi2, x + c, c, eps) == f == f_eval(chi1, chi2, x - c, c, eps)
+    assert f_eval(chi1, chi2, -x, c, eps) == f_eval(chi1, chi2, c - x, c, eps)
+
+
 def test_analytic_table_is_independent_of_row_blocks(monkeypatch):
     whole = s_analytic_table(QUARTIC, QUARTIC, 150, 1e-8)
     monkeypatch.setattr(dedekind, "_TABLE_BLOCK", 1)  # one unit per block
