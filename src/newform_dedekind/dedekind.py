@@ -8,8 +8,9 @@ Two evaluation routes for S(a, c):
   at z = (-d + i)/c, gamma z = (a + i)/c, with f evaluated by a closed-form
   l-series truncated at a certified tail bound.
 
-Admissibility (check_admissible): chi1, chi2 primitive nontrivial,
-chi1(-1)*chi2(-1) = +1, gcd(a, c) = 1 and q1*q2 | c. Throughout c' = c/q2.
+Admissibility (check_admissible, which returns (Pair, matrix)): chi1 and chi2
+primitive nontrivial with chi1(-1)*chi2(-1) = +1, checked once per pair by _pair,
+then gcd(a, c) = 1 and q1*q2 | c. Throughout c' = c/q2.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -108,13 +110,21 @@ def complete_matrix(a, c, q1, q2):
     return GammaMatrix(a, b, c, d)
 
 
-def check_admissible(chi1, chi2, a=1, c=None):
-    """Check the pair, then (given c) c >= 1, gcd(a, c) = 1 and q1*q2 | c.
+@dataclass(frozen=True)
+class Pair:
+    """An admissible (chi1, chi2), made only by _pair; tau = tau(conj(chi1))."""
 
-    Each failed condition raises its own error. Given c, complete_matrix
-    makes the checks on (a, c) and its matrix is returned; callers that take
-    c alone leave a = 1, which is a unit mod every c.
-    """
+    chi1: object
+    chi2: object
+
+    @cached_property  # on first use: a double-sum-only pair never needs it
+    def tau(self):
+        return gauss_sum(self.chi1.conjugate())
+
+
+@lru_cache(maxsize=1)  # keyed on the character objects; a run holds one pair
+def _pair(chi1, chi2):
+    """The Pair, once chi1 and chi2 are primitive nontrivial and chi1(-1)*chi2(-1) = +1."""
     for chi in (chi1, chi2):
         if chi.is_principal or not is_primitive(chi):
             raise PrimitivityError(
@@ -122,7 +132,14 @@ def check_admissible(chi1, chi2, a=1, c=None):
             )
     if chi1.parity * chi2.parity != 1:
         raise ParityError("character pair must satisfy chi1(-1)*chi2(-1) = +1")
-    return None if c is None else complete_matrix(a, c, chi1.modulus, chi2.modulus)
+    return Pair(chi1, chi2)
+
+
+def check_admissible(chi1, chi2, a=1, c=None):
+    """(_pair(chi1, chi2), complete_matrix(a, c, q1, q2)), the matrix None without c;
+    callers that take c alone leave a = 1, which is a unit mod every c."""
+    moduli = (chi1.modulus, chi2.modulus)
+    return _pair(chi1, chi2), None if c is None else complete_matrix(a, c, *moduli)
 
 
 def _check_trivial_bound(value, a, c, q1, bound):
@@ -165,11 +182,11 @@ def _double_sum_numerator(w1, w2, c, a=None):
     return a, nums
 
 
-def _double_sum_rows(chi1, chi2, c, a=None):
-    """[(a, d, S(a, c), 0.0)] from one kernel call on the complex tables, for the
-    int64 array a or (None) every unit mod c; each S is held to the trivial bound."""
-    q1 = chi1.modulus
-    a, nums = _double_sum_numerator(np.conj(chi1.values), np.conj(chi2.values), c, a)
+def _double_sum_rows(pair, c, a=None):
+    """[(a, d, S(a, c), 0.0)] from one kernel call on the pair's complex tables, for
+    the int64 array a or (None) every unit mod c; each S is held to the trivial bound."""
+    q1 = pair.chi1.modulus
+    a, nums = _double_sum_numerator(np.conj(pair.chi1.values), np.conj(pair.chi2.values), c, a)
     rows = [(x, pow(x, -1, c), complex(num) / (4 * q1 * c * c), 0.0)
             for x, num in zip(a.tolist(), nums)]
     for x, _, value, _ in rows:
@@ -180,8 +197,8 @@ def _double_sum_rows(chi1, chi2, c, a=None):
 def s_double_sum(chi1, chi2, a, c):
     """S(a, c) by the defining double sum, O(c) work in double precision; every B1
     argument is an integer remainder, so integer points are decided exactly."""
-    check_admissible(chi1, chi2, a, c)
-    (a, d, value, _), = _double_sum_rows(chi1, chi2, c, np.array([a % c]))
+    pair, _ = check_admissible(chi1, chi2, a, c)
+    (a, d, value, _), = _double_sum_rows(pair, c, np.array([a % c]))
     D = max_partial_quotient(a, c // chi2.modulus)
     return DedekindSumResult(value, "double_sum", 0.0, d, D)
 
@@ -201,8 +218,7 @@ def s_double_sum_table(chi1, chi2, c):
     """s_double_sum for every unit a mod c from one kernel call, O(c * phi(c)) work:
     [(a, d, value, 0.0)] for the units a = 1..c-1 in order, each row equal to
     s_double_sum(chi1, chi2, a, c)'s a, d_used and value."""
-    check_admissible(chi1, chi2, c=c)
-    return _double_sum_rows(chi1, chi2, c)
+    return _double_sum_rows(check_admissible(chi1, chi2, c=c)[0], c)
 
 
 def _f_terms(chi1, chi2, c, target_error):
@@ -214,7 +230,7 @@ def _f_terms(chi1, chi2, c, target_error):
     time (about half its peak memory). L is the smallest L >= c' whose
     certified tail bound 2*q2*(c/(2*pi*L))*exp(-2*pi*L/c) is <= target_error.
     """
-    if target_error <= 0:
+    if not target_error > 0:  # NaN too
         raise ValueError("target_error must be positive")
     q1, q2 = chi1.modulus, chi2.modulus
     cp = c // q2
@@ -298,20 +314,19 @@ def phi_eval(chi1, chi2, gamma, target_error):
     return fa - psi * fd, ba + abs(psi) * bd
 
 
-def _analytic_rows(chi1, chi2, c, F, fb, units):
+def _analytic_rows(pair, c, F, fb, units):
     """[(a, d, S(a, c), bound)] for each a in units, the twin of _double_sum_rows.
 
     F[x] is f at numerator x with tail bound fb (a list indexed mod c, or a dict
-    holding a and -d). S = tau(conj(chi1))/(pi*i) * (F[a] - psi * F[-d]) with
+    holding a and -d). S = pair.tau/(pi*i) * (F[a] - psi * F[-d]) with
     d = a^-1 mod c and psi = chi1(d) * conj(chi2)(d), bounded by |tau|/pi *
     (1 + |psi|) * fb; each S is held to the trivial bound."""
-    q1 = chi1.modulus
-    tau = gauss_sum(chi1.conjugate())
-    scale, bound_scale = tau / (math.pi * 1j), abs(tau) / math.pi
+    q1 = pair.chi1.modulus
+    scale, bound_scale = pair.tau / (math.pi * 1j), abs(pair.tau) / math.pi
     rows = []
     for a in units:
         d = pow(a, -1, c)
-        psi = chi1(d) * chi2(d).conjugate()
+        psi = pair.chi1(d) * pair.chi2(d).conjugate()
         value = scale * (F[a] - psi * F[-d])
         bound = bound_scale * (fb + abs(psi) * fb)
         _check_trivial_bound(value, a, c, q1, bound)
@@ -327,11 +342,11 @@ def s_analytic(chi1, chi2, a, c, target_error=1e-8):
     L ~ c*ln(1/target_error)/(2*pi) grows with c, so this is the single-query
     route; sweeps over every a mod c use s_analytic_table.
     """
-    gamma = check_admissible(chi1, chi2, a, c)
+    pair, gamma = check_admissible(chi1, chi2, a, c)
     a %= c
     fa, fb = f_eval(chi1, chi2, a, c, target_error / 2)
     fd, _ = f_eval(chi1, chi2, -gamma.d, c, target_error / 2)
-    (_, d, value, bound), = _analytic_rows(chi1, chi2, c, {a: fa, -gamma.d: fd}, fb, [a])
+    (_, d, value, bound), = _analytic_rows(pair, c, {a: fa, -gamma.d: fd}, fb, [a])
     D = max_partial_quotient(a, c // chi2.modulus)
     return DedekindSumResult(value, "analytic", bound, d, D)
 
@@ -412,10 +427,10 @@ def s_analytic_table(chi1, chi2, c, target_error=1e-8):
     unit x (with s_analytic's target_error/2) and each value serves both a
     and -d; the rows come from the same _analytic_rows.
     """
-    check_admissible(chi1, chi2, c=c)
+    pair, _ = check_admissible(chi1, chi2, c=c)
     units = [x for x in range(1, c) if math.gcd(x, c) == 1]
     F, fb = _f_table(chi1, chi2, c, target_error / 2, units)
-    return _analytic_rows(chi1, chi2, c, F, fb, units)
+    return _analytic_rows(pair, c, F, fb, units)
 
 
 def dw_exact(p, k, l):
@@ -439,13 +454,12 @@ def beta_constant(chi1, chi2, m, n, d_mod_q2):
     The L-value switches to the zeta(2) Euler product when chi1*chi2 is
     principal.
     """
-    check_admissible(chi1, chi2)
+    pair, _ = check_admissible(chi1, chi2)
     prod = character_product(chi1, chi2)
     lval = l2_principal(prod.modulus) if prod.is_principal else l2_value(prod)
-    t1 = gauss_sum(chi1.conjugate())
     t2 = gauss_sum(chi2.conjugate())
     bracket = (1 + 1j) * chi2(n) - (1 - 1j) * chi2(m) * chi2(d_mod_q2).conjugate()
-    return t1 * t2 / (4 * math.pi**2 * 1j) * lval * bracket
+    return pair.tau * t2 / (4 * math.pi**2 * 1j) * lval * bracket
 
 
 def _korobov_distances(a, q):

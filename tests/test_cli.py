@@ -60,6 +60,18 @@ def test_compute_rejects_parity_violation(capsys):
     assert "validation error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", *PAIR, "--a", "6", "--c", "25", "--eps", "nan"],
+     ["moment", *PAIR, "--c", "25", "--eps", "nan"]],
+    ids=["compute", "moment"],
+)
+def test_nan_eps_exits_two(capsys, argv):
+    rc, _, err = run(capsys, argv)
+    assert rc == 2
+    assert "validation error: target_error must be positive" in err
+
+
 def test_compute_rejects_bad_character_spec(capsys):
     rc, _, err = run(
         capsys,

@@ -46,6 +46,7 @@ from newform_dedekind.dedekind import (
 from newform_dedekind import dedekind
 from newform_dedekind.characters import l2_principal, l2_value, character_product
 from newform_dedekind.errors import (
+    CertificationError,
     CoprimalityError,
     DivisibilityError,
     ParityError,
@@ -151,6 +152,59 @@ def test_pair_validation_errors_are_distinct(takes, call):
     if "c" in takes:
         with pytest.raises(DivisibilityError):
             call(LEG5, LEG5, 2, 35)
+
+
+def test_pair_memo_is_keyed_on_the_character_objects():
+    # a fresh character with the label of the last pair but inflated values
+    # must be checked as itself, not served the cached pair of the old one
+    routes = (
+        lambda chi: s_double_sum(chi, chi, 6, 25),
+        lambda chi: s_double_sum_table(chi, chi, 25),
+        lambda chi: s_analytic(chi, chi, 6, 25),
+        lambda chi: s_analytic_table(chi, chi, 25),
+    )
+    for route in routes:
+        route(legendre_character(5))
+        inflated = legendre_character(5)
+        inflated.values = inflated.values * 1000
+        with pytest.raises(CertificationError):
+            route(inflated)
+
+
+@pytest.mark.parametrize(
+    "run, gauss_sums",
+    [
+        pytest.param(lambda chi: scan_F(ScanConfig((chi.label, chi.label), 150, 1.0)), 1,
+                     id="scan_F"),
+        pytest.param(lambda chi: [second_moment(chi, chi, c) for c in (25, 50, 75)], 1,
+                     id="second_moment"),
+        # the 5 more are tau(conj(chi2)), one per beta_constant call
+        pytest.param(lambda chi: largeval_sweep(chi, chi, 1, range(1, 6)), 1 + 5,
+                     id="largeval_sweep"),
+        pytest.param(lambda chi: (s_double_sum(chi, chi, 6, 25), s_analytic(chi, chi, 6, 25)),
+                     1, id="point"),
+    ],
+)
+def test_pair_is_checked_and_tau_derived_once_per_pair(monkeypatch, run, gauss_sums):
+    calls = {"is_primitive": 0, "gauss_sum": 0}
+    for name in calls:
+        def counting(chi, name=name, fn=getattr(dedekind, name)):
+            calls[name] += 1
+            return fn(chi)
+        monkeypatch.setattr(dedekind, name, counting)
+    run(legendre_character(5))
+    assert calls == {"is_primitive": 2, "gauss_sum": gauss_sums}
+
+
+def test_nan_target_error_is_rejected():
+    for call in (
+        lambda: f_eval(LEG5, LEG5, 1, 25, math.nan),
+        lambda: s_analytic(LEG5, LEG5, 6, 25, math.nan),
+        lambda: s_analytic_table(LEG5, LEG5, 25, math.nan),
+        lambda: second_moment(LEG5, LEG5, 25, target_error=math.nan),
+    ):
+        with pytest.raises(ValueError, match="target_error must be positive"):
+            call()
 
 
 @st.composite
