@@ -251,9 +251,6 @@ def gauss_sum(chi):
     return complex(np.exp(2j * np.pi * num / (e * q)).sum())
 
 
-_L2_CACHE = {}
-
-
 def l2_value(chi):
     """L(2, chi) = sum chi(n)/n^2, truncated with guaranteed tail <= 1e-9.
 
@@ -262,9 +259,6 @@ def l2_value(chi):
     """
     if chi.is_principal:
         raise ValueError("principal character: use l2_principal(q) instead")
-    key = chi.label
-    if key in _L2_CACHE:
-        return _L2_CACHE[key]
     q = chi.modulus
     # partial summation tail bound: |sum_{n>N} chi(n)/n^2| <= 2q/N^2
     N = math.ceil(math.sqrt(2 * q / 1e-9))
@@ -273,9 +267,7 @@ def l2_value(chi):
     for start in range(1, N + 1, step):
         n = np.arange(start, min(start + step, N + 1))
         total += (chi.values[n % q] / n.astype(float) ** 2).sum()
-    total = complex(total)
-    _L2_CACHE[key] = total
-    return total
+    return complex(total)
 
 
 def l2_principal(q):

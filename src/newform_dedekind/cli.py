@@ -326,6 +326,11 @@ def cmd_verify(args):
         if value is not None and value < least:
             raise ValidationError(f"--{flag} {value} leaves the {name} suite nothing to "
                                   f"check: need --{flag} >= {least}")
+    if "agreement" in names and args.cmax is not None:  # its c are multiples of q1*q2
+        least = math.prod(chi.modulus for chi in _pair_from_args(args))
+        if args.cmax < least:
+            raise ValidationError(f"--cmax {args.cmax} leaves the agreement suite nothing "
+                                  f"to check: need --cmax >= {least}")
     failures = []
     for name in names:
         failures.extend(_SUITES[name](args))

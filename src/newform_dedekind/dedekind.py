@@ -112,7 +112,8 @@ def complete_matrix(a, c, q1, q2):
 
 @dataclass(frozen=True)
 class Pair:
-    """An admissible (chi1, chi2), made only by _pair; tau = tau(conj(chi1))."""
+    """An admissible (chi1, chi2), made only by _pair; tau = tau(conj(chi1)) and
+    beta_scale = tau * tau(conj(chi2)) / (4 pi^2 i) * L(2, chi1*chi2)."""
 
     chi1: object
     chi2: object
@@ -120,6 +121,12 @@ class Pair:
     @cached_property  # on first use: a double-sum-only pair never needs it
     def tau(self):
         return gauss_sum(self.chi1.conjugate())
+
+    @cached_property  # zeta(2)'s Euler product stands in for L(2, principal)
+    def beta_scale(self):
+        prod = character_product(self.chi1, self.chi2)
+        lval = l2_principal(prod.modulus) if prod.is_principal else l2_value(prod)
+        return self.tau * gauss_sum(self.chi2.conjugate()) / (4 * math.pi**2 * 1j) * lval
 
 
 @lru_cache(maxsize=1)  # keyed on the character objects; a run holds one pair
@@ -451,15 +458,11 @@ def beta_constant(chi1, chi2, m, n, d_mod_q2):
 
     tau(conj chi1) tau(conj chi2) / (4 pi^2 i) * L(2, chi1*chi2)
     * ((1+i) chi2(n) - (1-i) chi2(m) conj(chi2)(d)).
-    The L-value switches to the zeta(2) Euler product when chi1*chi2 is
-    principal.
+    Everything before the bracket is the pair's beta_scale, derived once.
     """
     pair, _ = check_admissible(chi1, chi2)
-    prod = character_product(chi1, chi2)
-    lval = l2_principal(prod.modulus) if prod.is_principal else l2_value(prod)
-    t2 = gauss_sum(chi2.conjugate())
     bracket = (1 + 1j) * chi2(n) - (1 - 1j) * chi2(m) * chi2(d_mod_q2).conjugate()
-    return pair.tau * t2 / (4 * math.pi**2 * 1j) * lval * bracket
+    return pair.beta_scale * bracket
 
 
 def _korobov_distances(a, q):

@@ -127,7 +127,7 @@ def scan_F(config):
     dedekind.check_admissible(chi1, chi2)
     if config.C_max < 1:
         raise ValueError("C_max must be a positive integer")
-    if config.alpha <= 0:
+    if not config.alpha > 0:  # NaN too
         raise ValueError("alpha must be positive")
     if not 0 < config.target_error <= 1e-3:
         raise ValueError("target_error must lie in (0, 1e-3]")
@@ -224,9 +224,9 @@ def emit(records, fmt="csv", dest=None):
     """Write records as CSV (fixed header) or JSON lines.
 
     Records are sorted by (c, a); floats carry 12 significant digits; CSV
-    booleans are 1/0. dest may be a path, a file-like object, or None to get
-    the rendered text back. An empty record list yields a header-only CSV
-    (scan header).
+    booleans are 1/0; JSONL writes NaN and infinities as null. dest may be a
+    path, a file-like object, or None to get the rendered text back. An empty
+    record list yields a header-only CSV (scan header).
     """
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -240,8 +240,9 @@ def emit(records, fmt="csv", dest=None):
             writer.writerow([_fmt(v) for v in row.values()])
     else:
         for row in rows:
-            clean = {
-                k: (float(format(v, ".12g")) if isinstance(v, float) else v)
+            clean = {  # JSON has no NaN or Infinity: a non-finite float is null
+                k: (float(format(v, ".12g")) if math.isfinite(v) else None)
+                if isinstance(v, float) else v
                 for k, v in row.items()
             }
             buf.write(json.dumps(clean) + "\n")

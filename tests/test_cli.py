@@ -192,15 +192,25 @@ def test_verify_korobov_fails_on_a_perturbed_kernel(capsys, monkeypatch):
         (["--suite", "dw", "--kmax", "0"], "--kmax 0 leaves the dw suite nothing to check"),
         (["--suite", "agreement", "--trials", "0"],
          "--trials 0 leaves the agreement suite nothing to check"),
+        (["--suite", "agreement", "--cmax", "10", "--trials", "3"],
+         "--cmax 10 leaves the agreement suite nothing to check: need --cmax >= 25"),
         (["--suite", "all", "--cmax", "1"], "--cmax 1 leaves the cf suite nothing to check"),
     ],
-    ids=["cf", "korobov", "dw", "agreement", "all"],
+    ids=["cf", "korobov", "dw", "agreement", "agreement_cmax", "all"],
 )
 def test_verify_with_nothing_to_check_is_a_validation_error(capsys, argv, message):
     rc, out, err = run(capsys, ["verify", *argv])
     assert rc == 2
     assert out == ""
     assert f"validation error (ValidationError): {message}" in err
+
+
+def test_scan_alpha_nan_exits_two(capsys):
+    rc, out, err = run(capsys, ["scan", *PAIR, "--C", "50", "--alpha", "nan"])
+    assert rc == 2
+    assert out == ""
+    assert "validation error: alpha must be positive" in err
+    assert "summary:" not in err
 
 
 def test_scan_stdout(capsys):
@@ -330,6 +340,28 @@ def test_largeval_rows(capsys):
     assert rc == 2
     assert out == ""
     assert "validation error (ValidationError): need kmin <= kmax" in err
+
+
+def test_largeval_jsonl_skipped_rows_are_strict_json(capsys):
+    # a = 1 + c' shares a factor with c at k = 1 and 3, so those rows are skipped
+    argv = ["largeval", "--q1", "3", "--chi1", "legendre", "--q2", "4", "--chi2", "idx:1",
+            "--n", "1", "--kmax", "3"]
+    values = ["S_re", "S_im", "main_re", "main_im", "residual", "normalized_residual"]
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    rc, out, _ = run(capsys, [*argv, "--format", "jsonl"])
+    assert rc == 0
+    rows = [json.loads(line, parse_constant=reject) for line in out.splitlines()]
+    assert [row["skipped"] for row in rows] == [True, False, True]
+    for row in rows:
+        kinds = {type(row[k]) for k in values}
+        assert kinds == ({type(None)} if row["skipped"] else {float})
+    # CSV keeps nan in the skipped rows
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert out.splitlines()[1].split(",")[6:12] == ["nan"] * 6
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ from newform_dedekind.dedekind import (
     s_double_sum_table,
 )
 from newform_dedekind import dedekind
-from newform_dedekind.characters import l2_principal, l2_value, character_product
+from newform_dedekind.characters import character_product, gauss_sum, l2_principal, l2_value
 from newform_dedekind.errors import (
     CertificationError,
     CoprimalityError,
@@ -172,28 +172,29 @@ def test_pair_memo_is_keyed_on_the_character_objects():
 
 
 @pytest.mark.parametrize(
-    "run, gauss_sums",
+    "run, gauss_sums, products",
     [
-        pytest.param(lambda chi: scan_F(ScanConfig((chi.label, chi.label), 150, 1.0)), 1,
+        pytest.param(lambda chi: scan_F(ScanConfig((chi.label, chi.label), 150, 1.0)), 1, 0,
                      id="scan_F"),
-        pytest.param(lambda chi: [second_moment(chi, chi, c) for c in (25, 50, 75)], 1,
+        pytest.param(lambda chi: [second_moment(chi, chi, c) for c in (25, 50, 75)], 1, 0,
                      id="second_moment"),
-        # the 5 more are tau(conj(chi2)), one per beta_constant call
-        pytest.param(lambda chi: largeval_sweep(chi, chi, 1, range(1, 6)), 1 + 5,
+        # the one more is tau(conj(chi2)), derived with chi1*chi2 for the pair's
+        # beta_scale, which all 5 beta_constant calls read
+        pytest.param(lambda chi: largeval_sweep(chi, chi, 1, range(1, 6)), 2, 1,
                      id="largeval_sweep"),
         pytest.param(lambda chi: (s_double_sum(chi, chi, 6, 25), s_analytic(chi, chi, 6, 25)),
-                     1, id="point"),
+                     1, 0, id="point"),
     ],
 )
-def test_pair_is_checked_and_tau_derived_once_per_pair(monkeypatch, run, gauss_sums):
-    calls = {"is_primitive": 0, "gauss_sum": 0}
+def test_pair_is_checked_and_tau_derived_once_per_pair(monkeypatch, run, gauss_sums, products):
+    calls = {"is_primitive": 0, "gauss_sum": 0, "character_product": 0}
     for name in calls:
-        def counting(chi, name=name, fn=getattr(dedekind, name)):
+        def counting(*args, name=name, fn=getattr(dedekind, name)):
             calls[name] += 1
-            return fn(chi)
+            return fn(*args)
         monkeypatch.setattr(dedekind, name, counting)
     run(legendre_character(5))
-    assert calls == {"is_primitive": 2, "gauss_sum": gauss_sums}
+    assert calls == {"is_primitive": 2, "gauss_sum": gauss_sums, "character_product": products}
 
 
 def test_nan_target_error_is_rejected():
@@ -653,6 +654,40 @@ def test_beta_self_dual_closed_form():
         want = chi2(-n) * q / 12 * (1 - q**-2)
         got = beta_constant(chi1, chi2, n, n, 1)
         assert abs(got - want) < 1e-9
+
+
+def _beta_built_per_call(chi1, chi2, m, n, d, l2):
+    """beta_constant's value as built on every call before the pair held
+    beta_scale, with the same float operations in the same order."""
+    prod = character_product(chi1, chi2)
+    lval = l2_principal(prod.modulus) if prod.is_principal else l2(prod)
+    t1, t2 = gauss_sum(chi1.conjugate()), gauss_sum(chi2.conjugate())
+    bracket = (1 + 1j) * chi2(n) - (1 - 1j) * chi2(m) * chi2(d).conjugate()
+    return t1 * t2 / (4 * math.pi**2 * 1j) * lval * bracket
+
+
+def test_beta_from_the_pair_equals_the_per_call_product(monkeypatch):
+    # every admissible pair with moduli in (3, 4, 5, 7, 8, 11, 12, 13), the
+    # pairs of the bench's point workload: == fails if the product is reordered.
+    # Each of the 227 non-principal products gets its L(2, .) once, for both sides.
+    lvals = {}
+
+    def l2_once(chi):
+        if chi.label not in lvals:
+            lvals[chi.label] = l2_value(chi)
+        return lvals[chi.label]
+
+    monkeypatch.setattr(dedekind, "l2_value", l2_once)
+    moduli = (3, 4, 5, 7, 8, 11, 12, 13)
+    prim = [chi for q in moduli for chi in enumerate_characters(q)
+            if not chi.is_principal and is_primitive(chi)]
+    pairs = [(x, y) for x in prim for y in prim if x.parity * y.parity == 1]
+    assert len(pairs) == 557
+    for chi1, chi2 in pairs:
+        for m, n, d in ((1, 1, 1), (0, 1, 2), (2, 3, 1), (-1, 2, 5)):
+            want = _beta_built_per_call(chi1, chi2, m, n, d, l2_once)
+            assert beta_constant(chi1, chi2, m, n, d) == want
+    assert len(lvals) == 227
 
 
 def test_beta_uses_l2_of_the_product():

@@ -99,6 +99,8 @@ def test_scan_config_validation():
     with pytest.raises(ValueError):
         scan_F(small_config(alpha=0.0))
     with pytest.raises(ValueError):
+        scan_F(small_config(alpha=math.nan))
+    with pytest.raises(ValueError):
         scan_F(small_config(target_error=1e-2))
     with pytest.raises(ValueError):
         scan_F(small_config(method="fast"))
