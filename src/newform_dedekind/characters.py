@@ -278,21 +278,20 @@ def l2_principal(q):
     return val
 
 
-def character_product(chi1, chi2, conjugate_second=False):
-    """The product character chi1*chi2 (or chi1*conj(chi2)) mod lcm(q1, q2).
+def character_product(chi1, chi2):
+    """The product character chi1*chi2 mod lcm(q1, q2).
 
     Computed exactly: the product's exponent on each canonical generator g of
-    the unit group mod lcm is the rational t1/e1 +- t2/e2 reduced mod 1, which
+    the unit group mod lcm is the rational t1/e1 + t2/e2 reduced mod 1, which
     is always a multiple of 1/ord(g).
     """
     q1, q2 = chi1.modulus, chi2.modulus
     m = math.lcm(q1, q2)
     comps = _unit_group(m)[0]
-    sign = -1 if conjugate_second else 1
     ks = []
     for s, g in comps:
         fr = Fraction(int(chi1.logs[g % q1]), chi1.order)
-        fr += sign * Fraction(int(chi2.logs[g % q2]), chi2.order)
+        fr += Fraction(int(chi2.logs[g % q2]), chi2.order)
         fr %= 1
         k = fr * s
         if k.denominator != 1:  # g^s = 1 forces an s-th root of unity

@@ -130,7 +130,7 @@ def cmd_moment(args):
     chi1, chi2 = _pair_from_args(args)
     print("c,second_moment,exponent")
     for c in args.c:
-        m = stats.second_moment(chi1, chi2, c, args.method, args.eps)
+        m = stats.second_moment(chi1, chi2, c)
         expo = math.log(m) / math.log(c) if m > 0 and c > 1 else float("nan")
         print(f"{c},{m:.12g},{expo:.12g}")
     return 0
@@ -140,9 +140,7 @@ def cmd_largeval(args):
     if args.kmin > args.kmax:
         raise ValidationError(f"need kmin <= kmax, got {args.kmin} > {args.kmax}")
     chi1, chi2 = _pair_from_args(args)
-    records = stats.largeval_sweep(
-        chi1, chi2, args.n, range(args.kmin, args.kmax + 1), args.eps
-    )
+    records = stats.largeval_sweep(chi1, chi2, args.n, range(args.kmin, args.kmax + 1))
     stats.emit(records, args.format, args.out or sys.stdout)
     return 0
 
@@ -387,8 +385,6 @@ def _build_parser():
     _add_pair_flags(p)
     p.add_argument("--c", type=int, action="append", required=True,
                    help="repeatable")
-    p.add_argument("--method", choices=("analytic", "double_sum"), default="analytic")
-    p.add_argument("--eps", type=float, default=1e-6)
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("largeval", help="S vs the predicted main term along c = k*q1*q2")
@@ -396,7 +392,6 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kmin", type=int, default=1)
     p.add_argument("--kmax", type=int, default=40)
-    p.add_argument("--eps", type=float, default=1e-8)
     p.add_argument("--out", default="")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.set_defaults(func=cmd_largeval)
@@ -417,7 +412,8 @@ def _build_parser():
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    flags = {k: stats._json_value(v) for k, v in vars(args).items()
+             if k not in ("command", "func")}
     config = {"subcommand": args.command, "flags": flags}
     print(f"config: {json.dumps(config, default=str)}", file=sys.stderr)
     try:

@@ -4,8 +4,8 @@ scan_F counts threshold exceedances |S| > alpha * log^3(C_max) over
 1 <= a < c <= C_max with gcd(a, c) = 1 and q1*q2 | c. Each c takes one table
 call for every a mod c: dedekind.s_analytic_table (analytic), or
 dedekind.s_double_sum_table (double_sum, and the reference checked by 'both').
-The c values run in order in the calling thread; second_moment uses the same
-per-c tables.
+The c values run in order in the calling thread. second_moment and
+largeval_sweep take S from the double sum alone: it has no truncation error.
 """
 from __future__ import annotations
 
@@ -76,18 +76,12 @@ class LargevalRecord:
     skipped: bool
 
 
-def _s_rows(chi1, chi2, c, method, target_error):
-    """(a, d, S, truncation_bound) for every unit a mod c by the chosen route."""
-    if method == "double_sum":
-        return dedekind.s_double_sum_table(chi1, chi2, c)
-    return dedekind.s_analytic_table(chi1, chi2, c, target_error)
-
-
 def _scan_one_c(c, chi1, chi2, threshold, method, target_error, exceed_only):
     cp = c // chi2.modulus
     count = 0
     records = []
-    rows = _s_rows(chi1, chi2, c, method, target_error)
+    rows = (dedekind.s_double_sum_table(chi1, chi2, c) if method == "double_sum"
+            else dedekind.s_analytic_table(chi1, chi2, c, target_error))
     refs = dedekind.s_double_sum_table(chi1, chi2, c) if method == "both" else ()
     max_dev = max((dedekind.check_agreement(val, ref[2], bound, a, c)
                    for (a, _, val, bound), ref in zip(rows, refs)), default=0.0)
@@ -146,20 +140,18 @@ def scan_F(config):
     return count, records
 
 
-def second_moment(chi1, chi2, c, method="analytic", target_error=1e-6):
-    """Sum of |S(a, c)|^2 over the phi(c) residues coprime to c."""
-    if method not in ("analytic", "double_sum"):
-        raise ValueError(f"unknown method {method!r}")
-    rows = _s_rows(chi1, chi2, c, method, target_error)
+def second_moment(chi1, chi2, c):
+    """Sum of |S(a, c)|^2 over the phi(c) residues coprime to c, by the double sum."""
+    rows = dedekind.s_double_sum_table(chi1, chi2, c)
     return sum((abs(val) ** 2 for _, _, val, _ in rows), 0.0)
 
 
-def largeval_sweep(chi1, chi2, n, k_range, target_error=1e-8):
+def largeval_sweep(chi1, chi2, n, k_range):
     """Track S against the predicted main term beta * c' along c = k*q1*q2.
 
     For each k: c = k*q1*q2, c' = c/q2, a = 1 + n*c'. Since a = 1 (mod c'),
     the completed d satisfies d = 1 (mod c') and m = (1 - d)/c' is integral.
-    Non-coprime a yields a flagged record with NaN values.
+    S comes from the double sum. Non-coprime a yields a flagged record with NaN values.
     """
     dedekind.check_admissible(chi1, chi2)
     q1, q2 = chi1.modulus, chi2.modulus
@@ -176,7 +168,7 @@ def largeval_sweep(chi1, chi2, n, k_range, target_error=1e-8):
                 LargevalRecord(k, c, cp, a, 0, 0, nan, nan, nan, nan, nan, nan, True)
             )
             continue
-        res = dedekind.s_analytic(chi1, chi2, a, c, target_error)
+        res = dedekind.s_double_sum(chi1, chi2, a, c)
         d = res.d_used
         if (1 - d) % cp:
             raise CertificationError(f"d = {d} is not 1 mod c' = {cp} at (a={a}, c={c})")
@@ -212,6 +204,11 @@ def _fmt(value):
     return str(value)
 
 
+def _json_value(value):
+    """value, or None (JSON null) if it is a non-finite float: JSON has no NaN or Infinity."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _row_dict(record):
     if isinstance(record, ScanRecord):
         d = asdict(record)
@@ -240,11 +237,8 @@ def emit(records, fmt="csv", dest=None):
             writer.writerow([_fmt(v) for v in row.values()])
     else:
         for row in rows:
-            clean = {  # JSON has no NaN or Infinity: a non-finite float is null
-                k: (float(format(v, ".12g")) if math.isfinite(v) else None)
-                if isinstance(v, float) else v
-                for k, v in row.items()
-            }
+            clean = {k: _json_value(float(format(v, ".12g")) if isinstance(v, float) else v)
+                     for k, v in row.items()}
             buf.write(json.dumps(clean) + "\n")
     text = buf.getvalue()
     if dest is None:
@@ -298,7 +292,7 @@ def summarize(config, count, records):
     out = {
         "count": count,
         "C": config.C_max,
-        "alpha": config.alpha,
+        "alpha": _json_value(config.alpha),
         "pair": [{"q": q1, "index": i1}, {"q": q2, "index": i2}],
         "max_bound_ratio": max((r.bound_ratio for r in records), default=0.0),
         "second_moment_table": table,

@@ -25,6 +25,7 @@ from newform_dedekind.dedekind import (
     complete_matrix,
     dw_exact,
     s_analytic,
+    s_analytic_table,
     s_double_sum,
     s_double_sum_exact,
 )
@@ -191,12 +192,15 @@ def test_c08_second_moment_exponent_window():
     exponent with a constant that pulls it about 0.4 below 2 at c <= 900.
     The least-squares slope of log M against log c cancels that constant, so
     the window is asserted on the slope. A slope cannot see a constant-factor
-    error, so each M(c) is also pinned to the exact sum of |S|^2.
+    error, so each M(c) is also pinned to the exact sum of |S|^2, and so is
+    the same sum over the analytic route's values.
     """
     scales = (225, 450, 900)
-    moments, exact = {}, {}
+    moments, analytic, exact = {}, {}, {}
     for c in scales:
         moments[c] = second_moment(LEG5, LEG5, c)
+        rows = s_analytic_table(LEG5, LEG5, c, 1e-6)
+        analytic[c] = sum((abs(val) ** 2 for _, _, val, _ in rows), 0.0)
         exact[c] = sum(
             (
                 abs(s_double_sum_exact(LEG5, LEG5, a, c)) ** 2
@@ -209,7 +213,7 @@ def test_c08_second_moment_exponent_window():
     ys = [math.log(moments[c]) for c in scales]
     slope = statistics.linear_regression(xs, ys).slope
     ratios = "/".join(f"{y / x:.4f}" for x, y in zip(xs, ys))
-    agree = all(abs(moments[c] - exact[c]) < 1e-4 for c in scales)
+    agree = all(moments[c] == exact[c] and abs(analytic[c] - exact[c]) < 1e-4 for c in scales)
     ok = 1.6 <= slope <= 2.6 and agree
     report(8, ok, f"second-moment slope {slope:.4f} over c = 225/450/900, "
                   f"required window [1.6, 2.6]; single-scale ratios {ratios}; "
@@ -218,8 +222,11 @@ def test_c08_second_moment_exponent_window():
         f"slope of log M(c) against log c = {slope:.4f} falls outside [1.6, 2.6]"
     )
     for c in scales:
-        assert abs(moments[c] - exact[c]) < 1e-4, (
+        assert moments[c] == exact[c], (
             f"M({c}) = {moments[c]!r} differs from the exact {exact[c]}"
+        )
+        assert abs(analytic[c] - exact[c]) < 1e-4, (
+            f"the analytic M({c}) = {analytic[c]!r} differs from the exact {exact[c]}"
         )
 
 

@@ -18,6 +18,13 @@ def run(capsys, argv):
     return rc, captured.out, captured.err
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_compute_known_value(capsys):
     rc, out, err = run(capsys, ["compute", *PAIR, "--a", "6", "--c", "25"])
     assert rc == 0
@@ -62,9 +69,8 @@ def test_compute_rejects_parity_violation(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["compute", *PAIR, "--a", "6", "--c", "25", "--eps", "nan"],
-     ["moment", *PAIR, "--c", "25", "--eps", "nan"]],
-    ids=["compute", "moment"],
+    [["compute", *PAIR, "--a", "6", "--c", "25", "--eps", "nan"]],
+    ids=["compute"],
 )
 def test_nan_eps_exits_two(capsys, argv):
     rc, _, err = run(capsys, argv)
@@ -129,10 +135,14 @@ def test_hensley_alpha_nan_is_rejected_and_inf_admits_everything(capsys):
     assert rc == 2
     assert out == ""
     assert "validation error: need alpha > 0" in err
-    rc, out, _ = run(capsys, ["hensley", "--C", "50", "--alpha", "inf"])
+    rc, out, err = run(capsys, ["hensley", "--C", "50", "--alpha", "inf"])
     assert rc == 0
     got = dict(line.split(" = ") for line in out.strip().split("\n"))
     assert got["phi_count"] == "724" and got["g_count"] == "0"
+    # the config line is JSON, so the infinite alpha is written as null
+    config_line = err.splitlines()[0]
+    assert config_line.startswith("config: ")
+    assert strict_json(config_line[len("config: "):])["flags"]["alpha"] is None
 
 
 def test_verify_cf_reports_broken_expand_per_pair(capsys, monkeypatch):
@@ -211,6 +221,16 @@ def test_scan_alpha_nan_exits_two(capsys):
     assert out == ""
     assert "validation error: alpha must be positive" in err
     assert "summary:" not in err
+
+
+def test_scan_alpha_inf_writes_strict_json(capsys):
+    rc, _, err = run(capsys, ["scan", *PAIR, "--C", "50", "--alpha", "inf"])
+    assert rc == 0
+    config_line, summary_line = err.splitlines()[0], err.splitlines()[-1]
+    assert strict_json(config_line[len("config: "):])["flags"]["alpha"] is None
+    assert summary_line.startswith("summary: ")
+    summary = strict_json(summary_line[len("summary: "):])
+    assert summary["alpha"] is None and summary["count"] == 0
 
 
 def test_scan_stdout(capsys):

@@ -176,7 +176,7 @@ def test_pair_memo_is_keyed_on_the_character_objects():
     [
         pytest.param(lambda chi: scan_F(ScanConfig((chi.label, chi.label), 150, 1.0)), 1, 0,
                      id="scan_F"),
-        pytest.param(lambda chi: [second_moment(chi, chi, c) for c in (25, 50, 75)], 1, 0,
+        pytest.param(lambda chi: [second_moment(chi, chi, c) for c in (25, 50, 75)], 0, 0,
                      id="second_moment"),
         # the one more is tau(conj(chi2)), derived with chi1*chi2 for the pair's
         # beta_scale, which all 5 beta_constant calls read
@@ -202,7 +202,6 @@ def test_nan_target_error_is_rejected():
         lambda: f_eval(LEG5, LEG5, 1, 25, math.nan),
         lambda: s_analytic(LEG5, LEG5, 6, 25, math.nan),
         lambda: s_analytic_table(LEG5, LEG5, 25, math.nan),
-        lambda: second_moment(LEG5, LEG5, 25, target_error=math.nan),
     ):
         with pytest.raises(ValueError, match="target_error must be positive"):
             call()

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from newform_dedekind.characters import character_from_index, legendre_character
-from newform_dedekind.dedekind import s_double_sum_exact
+from newform_dedekind.dedekind import s_analytic_table, s_double_sum_exact
 from newform_dedekind.stats import (
     CSV_HEADER,
     LargevalRecord,
@@ -109,7 +109,7 @@ def test_scan_config_validation():
 
 
 def test_second_moment_oracle_225():
-    approx = second_moment(LEG5, LEG5, 225, target_error=1e-8)
+    moment = second_moment(LEG5, LEG5, 225)
     exact = sum(
         (
             abs(s_double_sum_exact(LEG5, LEG5, a, 225)) ** 2
@@ -119,13 +119,14 @@ def test_second_moment_oracle_225():
         Fraction(0),
     )
     assert exact == Fraction(4592)
-    assert abs(approx - 4592) < 1e-4
+    assert moment == 4592.0
 
 
 def test_second_moment_at_1800_matches_exact():
     # twice criterion 08's largest scale: the analytic moment's error grows
     # with c, so pin it beyond the criterion's scales too
-    approx = second_moment(LEG5, LEG5, 1800)
+    rows = s_analytic_table(LEG5, LEG5, 1800, 1e-6)
+    approx = sum((abs(val) ** 2 for _, _, val, _ in rows), 0.0)
     exact = sum(
         (
             abs(s_double_sum_exact(LEG5, LEG5, a, 1800)) ** 2
@@ -136,18 +137,14 @@ def test_second_moment_at_1800_matches_exact():
     )
     assert exact == Fraction(200096)
     assert abs(approx - 200096) < 1e-4
+    assert second_moment(LEG5, LEG5, 1800) == exact
 
 
 def test_second_moment_by_double_sum_is_exact_for_legendre_5():
     # the double-sum table's floats square and sum to the exact integer moments
-    for c, want in ((225, 4592.0), (450, 12016.0), (900, 49728.0), (1800, 200096.0)):
-        assert second_moment(LEG5, LEG5, c, method="double_sum") == want
-
-
-def test_second_moment_rejects_unknown_method():
-    for method in ("fast", "both"):
-        with pytest.raises(ValueError, match="unknown method"):
-            second_moment(LEG5, LEG5, 25, method=method)
+    for c, want in ((225, 4592.0), (450, 12016.0), (900, 49728.0), (1800, 200096.0),
+                    (9000, 5038640.0)):
+        assert second_moment(LEG5, LEG5, c) == want
 
 
 def test_second_moment_rejects_bad_modulus():
@@ -173,6 +170,28 @@ def test_largeval_zero_direction():
         assert r.a == 1
         assert abs(complex(r.main_re, r.main_im)) < 1e-12
         assert abs(complex(r.S_re, r.S_im)) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "chi1, chi2, n",
+    [(LEG5, LEG5, 1), (character_from_index(5, 1), character_from_index(5, 3), 2)],
+    ids=["legendre5", "quartic5"],
+)
+def test_largeval_residual_vanishes_where_s_is_the_main_term(chi1, chi2, n):
+    # S from the double sum has no truncation error, so S = beta*c' leaves rounding only
+    records = [r for r in largeval_sweep(chi1, chi2, n, range(1, 41)) if not r.skipped]
+    assert records
+    for r in records:
+        assert r.residual < 1e-12, (r.k, r.residual)
+
+
+def test_largeval_residual_of_a_third_on_the_3_4_pair():
+    # k = 2: c = 24, c' = 6, a = 7; S = -2/3 against the main term beta*c' = -1
+    records = largeval_sweep(legendre_character(3), character_from_index(4, 1), 1, range(1, 3))
+    r = records[1]
+    assert r.k == 2 and not r.skipped
+    assert abs(r.S_re + 2 / 3) < 1e-12
+    assert abs(r.residual - 1 / 3) < 1e-12
 
 
 def test_largeval_flags_non_coprime():
