@@ -37,7 +37,6 @@ from .dedekind import (
     GammaMatrix,
     b1,
     beta_constant,
-    bound_ratio,
     complete_matrix,
     dw_exact,
     f_eval,

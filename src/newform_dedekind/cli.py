@@ -113,10 +113,10 @@ def cmd_scan(args):
         target_error=args.eps,
         exceedances_only=args.exceedances_only,
     )
-    count, records = stats.scan_F(config)
+    count, records, max_dev = stats.scan_F(config)
     print(f"count = {count}", file=sys.stderr)
     stats.emit(records, args.format, args.out or sys.stdout)
-    summary = stats.summarize(config, count, records)
+    summary = stats.summarize(config, count, records, max_dev)
     if args.summary:
         with open(args.summary, "w") as fh:
             json.dump(summary, fh, indent=2)
@@ -128,9 +128,9 @@ def cmd_scan(args):
 
 def cmd_moment(args):
     chi1, chi2 = _pair_from_args(args)
+    moments = [stats.second_moment(chi1, chi2, c) for c in args.c]  # all, before any prints
     print("c,second_moment,exponent")
-    for c in args.c:
-        m = stats.second_moment(chi1, chi2, c)
+    for c, m in zip(args.c, moments):
         expo = math.log(m) / math.log(c) if m > 0 and c > 1 else float("nan")
         print(f"{c},{m:.12g},{expo:.12g}")
     return 0

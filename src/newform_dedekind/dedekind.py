@@ -58,7 +58,6 @@ __all__ = [
     "beta_constant",
     "korobov_sum_1",
     "korobov_sum_2",
-    "bound_ratio",
     "ratio_to_bound",
 ]
 
@@ -574,19 +573,9 @@ def _korobov_table(q):
     return next(_korobov_tables(q, q))[1:]
 
 
-def bound_ratio(chi1, chi2, a, c, target_error=1e-8, method="analytic"):
-    """|S| / (D(a, c') * log^2 c'), the empirical partial-quotient-bound constant."""
-    if method == "analytic":
-        res = s_analytic(chi1, chi2, a, c, target_error)
-    elif method == "double_sum":
-        res = s_double_sum(chi1, chi2, a, c)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ratio_to_bound(abs(res.value), res.max_partial_quotient, c // chi2.modulus)
-
-
 def ratio_to_bound(s_abs, D, cp):
-    """|S| / (D * log^2 c'): the bound ratio of one S(a, c) with D = D(a, c')."""
+    """|S| / (D * log^2 c'): the bound ratio of one S(a, c) with D = D(a, c'), the
+    empirical constant of the partial-quotient bound."""
     return s_abs / (D * math.log(cp) ** 2)
 
 

@@ -4,8 +4,9 @@ scan_F counts threshold exceedances |S| > alpha * log^3(C_max) over
 1 <= a < c <= C_max with gcd(a, c) = 1 and q1*q2 | c. Each c takes one table
 call for every a mod c: dedekind.s_analytic_table (analytic), or
 dedekind.s_double_sum_table (double_sum, and the reference checked by 'both').
-The c values run in order in the calling thread. second_moment and
-largeval_sweep take S from the double sum alone: it has no truncation error.
+The c values run in order in the calling thread. second_moment takes one
+double-sum table per c and largeval_sweep one double-sum kernel row per k: the
+double sum has no truncation error.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import dedekind
 from .characters import character_from_index
@@ -76,46 +79,14 @@ class LargevalRecord:
     skipped: bool
 
 
-def _scan_one_c(c, chi1, chi2, threshold, method, target_error, exceed_only):
-    cp = c // chi2.modulus
-    count = 0
-    records = []
-    rows = (dedekind.s_double_sum_table(chi1, chi2, c) if method == "double_sum"
-            else dedekind.s_analytic_table(chi1, chi2, c, target_error))
-    refs = dedekind.s_double_sum_table(chi1, chi2, c) if method == "both" else ()
-    max_dev = max((dedekind.check_agreement(val, ref[2], bound, a, c)
-                   for (a, _, val, bound), ref in zip(rows, refs)), default=0.0)
-    for a, d, val, bound in rows:
-        sabs = abs(val)
-        exceeds = sabs > threshold
-        if exceeds:
-            count += 1
-        if exceeds or not exceed_only:
-            cf = expand(a, cp)
-            D = max(cf.partials)
-            records.append(
-                ScanRecord(
-                    c=c,
-                    a=a,
-                    d=d,
-                    D=D,
-                    cf_len=cf.n,
-                    S_re=val.real,
-                    S_im=val.imag,
-                    S_abs=sabs,
-                    bound_ratio=dedekind.ratio_to_bound(sabs, D, cp),
-                    exceeds_threshold=exceeds,
-                )
-            )
-    return count, records, max_dev
-
-
 def scan_F(config):
-    """Run the sweep; returns (exceedance_count, records).
+    """Run the sweep; returns (exceedance_count, records, max_method_deviation).
 
     The c values run in order in the calling thread: with the per-c table
     most of a c's time holds the GIL, so a second thread gained nothing at
-    C_max = 450. An empty range (C_max < q1*q2) gives (0, []).
+    C_max = 450. max_method_deviation is the largest |analytic - double_sum|
+    over every row when method is 'both' (0.0 if there is none), else None.
+    An empty range (C_max < q1*q2) gives (0, [], None), or (0, [], 0.0) for 'both'.
     """
     chi1, chi2 = (character_from_index(q, i) for q, i in config.char_pair)
     dedekind.check_admissible(chi1, chi2)
@@ -129,15 +100,37 @@ def scan_F(config):
         raise ValueError(f"unknown method {config.method!r}")
     q1q2 = chi1.modulus * chi2.modulus
     threshold = config.alpha * math.log(config.C_max) ** 3
-    chunks = [
-        _scan_one_c(c, chi1, chi2, threshold, config.method, config.target_error,
-                    config.exceedances_only)
-        for c in range(q1q2, config.C_max + 1, q1q2)
-    ]
-    count = sum(ch[0] for ch in chunks)
-    records = [rec for ch in chunks for rec in ch[1]]
-    scan_F.last_max_deviation = max((ch[2] for ch in chunks), default=0.0)
-    return count, records
+    count, records, max_dev = 0, [], 0.0
+    for c in range(q1q2, config.C_max + 1, q1q2):
+        cp = c // chi2.modulus
+        rows = (dedekind.s_double_sum_table(chi1, chi2, c) if config.method == "double_sum"
+                else dedekind.s_analytic_table(chi1, chi2, c, config.target_error))
+        refs = dedekind.s_double_sum_table(chi1, chi2, c) if config.method == "both" else ()
+        for (a, _, val, bound), ref in zip(rows, refs):
+            max_dev = max(max_dev, dedekind.check_agreement(val, ref[2], bound, a, c))
+        for a, d, val, bound in rows:
+            sabs = abs(val)
+            exceeds = sabs > threshold
+            if exceeds:
+                count += 1
+            if exceeds or not config.exceedances_only:
+                cf = expand(a, cp)
+                D = max(cf.partials)
+                records.append(
+                    ScanRecord(
+                        c=c,
+                        a=a,
+                        d=d,
+                        D=D,
+                        cf_len=cf.n,
+                        S_re=val.real,
+                        S_im=val.imag,
+                        S_abs=sabs,
+                        bound_ratio=dedekind.ratio_to_bound(sabs, D, cp),
+                        exceeds_threshold=exceeds,
+                    )
+                )
+    return count, records, max_dev if config.method == "both" else None
 
 
 def second_moment(chi1, chi2, c):
@@ -151,9 +144,10 @@ def largeval_sweep(chi1, chi2, n, k_range):
 
     For each k: c = k*q1*q2, c' = c/q2, a = 1 + n*c'. Since a = 1 (mod c'),
     the completed d satisfies d = 1 (mod c') and m = (1 - d)/c' is integral.
-    S comes from the double sum. Non-coprime a yields a flagged record with NaN values.
+    S and d come from one double-sum kernel row on the pair, checked once.
+    Non-coprime a yields a flagged record with NaN values.
     """
-    dedekind.check_admissible(chi1, chi2)
+    pair, _ = dedekind.check_admissible(chi1, chi2)
     q1, q2 = chi1.modulus, chi2.modulus
     records = []
     for k in k_range:
@@ -168,14 +162,13 @@ def largeval_sweep(chi1, chi2, n, k_range):
                 LargevalRecord(k, c, cp, a, 0, 0, nan, nan, nan, nan, nan, nan, True)
             )
             continue
-        res = dedekind.s_double_sum(chi1, chi2, a, c)
-        d = res.d_used
+        (_, d, value, _), = dedekind._double_sum_rows(pair, c, np.array([a % c]))
         if (1 - d) % cp:
             raise CertificationError(f"d = {d} is not 1 mod c' = {cp} at (a={a}, c={c})")
         m = (1 - d) // cp
         beta = dedekind.beta_constant(chi1, chi2, m, n, d % q2)
         main = beta * cp
-        residual = abs(res.value - main)
+        residual = abs(value - main)
         records.append(
             LargevalRecord(
                 k=k,
@@ -184,8 +177,8 @@ def largeval_sweep(chi1, chi2, n, k_range):
                 a=a,
                 d=d,
                 m=m,
-                S_re=res.value.real,
-                S_im=res.value.imag,
+                S_re=value.real,
+                S_im=value.imag,
                 main_re=main.real,
                 main_im=main.imag,
                 residual=residual,
@@ -279,8 +272,9 @@ def read_records(source, fmt="csv"):
     return records
 
 
-def summarize(config, count, records):
-    """Summary dict {count, C, alpha, pair, max_bound_ratio, second_moment_table}.
+def summarize(config, count, records, max_method_deviation):
+    """Summary dict {count, C, alpha, pair, max_bound_ratio, second_moment_table},
+    plus max_method_deviation unless it is None: scan_F's three results in turn.
 
     The per-c moment table is accumulated from the records, so it equals the
     true second moment only when the scan recorded every pair.
@@ -297,6 +291,6 @@ def summarize(config, count, records):
         "max_bound_ratio": max((r.bound_ratio for r in records), default=0.0),
         "second_moment_table": table,
     }
-    if config.method == "both":
-        out["max_method_deviation"] = getattr(scan_F, "last_max_deviation", 0.0)
+    if max_method_deviation is not None:
+        out["max_method_deviation"] = max_method_deviation
     return out

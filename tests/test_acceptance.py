@@ -51,7 +51,7 @@ def scan_1500():
         target_error=1e-6,
     )
     start = time.monotonic()
-    count, records = scan_F(config)
+    count, records, _ = scan_F(config)
     return count, records, time.monotonic() - start
 
 

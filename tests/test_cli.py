@@ -344,6 +344,14 @@ def test_moment_values(capsys):
     assert abs(float(expo) - math.log(4592) / math.log(225)) < 1e-6
 
 
+@pytest.mark.parametrize("bad_c", ["1000000000", "30"], ids=["int64-limit", "not-multiple"])
+def test_moment_checks_every_c_before_printing(capsys, bad_c):
+    rc, out, err = run(capsys, ["moment", *PAIR, "--c", "225", "--c", bad_c])
+    assert rc == 2
+    assert out == ""
+    assert err.strip().split("\n")[-1].startswith("validation error")
+
+
 def test_largeval_rows(capsys):
     rc, out, _ = run(capsys, ["largeval", *PAIR, "--n", "1", "--kmax", "5"])
     assert rc == 0

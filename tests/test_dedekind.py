@@ -30,13 +30,13 @@ from newform_dedekind.dedekind import (
     GammaMatrix,
     b1,
     beta_constant,
-    bound_ratio,
     complete_matrix,
     dw_exact,
     f_eval,
     korobov_sum_1,
     korobov_sum_2,
     phi_eval,
+    ratio_to_bound,
     s_analytic,
     s_analytic_table,
     s_double_sum,
@@ -421,6 +421,29 @@ def test_double_sum_table_rows_equal_s_double_sum(pair, k):
         assert (value, d, bound) == (ref.value, ref.d_used, 0.0), (a, c)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(pair=st.sampled_from(SMALL_PAIRS), data=st.data())
+def test_symmetry_orbit_identities(pair, data):
+    # S(c - a, c) = -chi1(-1) S(a, c), as B1 is odd, and S(d, c) =
+    # chi1(-1) conj(psi(d)) S(a, c) with a*d = 1 mod c and psi(d) =
+    # chi1(d) conj(chi2)(d), the crossed-homomorphism law at gamma^-1
+    chi1, chi2 = pair
+    q1q2 = chi1.modulus * chi2.modulus
+    c = q1q2 * data.draw(st.integers(1, max(1, 300 // q1q2)))
+    real = all(np.all(chi.values.imag == 0) for chi in pair)
+    floats = {a: (d, value) for a, d, value, _ in s_double_sum_table(chi1, chi2, c)}
+    analytic = {a: (value, bound) for a, _, value, bound in s_analytic_table(chi1, chi2, c)}
+    exact = {a: s_double_sum_exact(chi1, chi2, a, c) for a in floats} if real else {}
+    for a, (d, value) in floats.items():
+        psi = chi1(d) * chi2(d).conjugate()
+        for b, factor in ((c - a, -chi1.parity), (d, chi1.parity * psi.conjugate())):
+            assert abs(floats[b][1] - factor * value) <= 1e-12, (a, b, c)
+            (s_a, bound_a), (s_b, bound_b) = analytic[a], analytic[b]
+            assert abs(s_b - factor * s_a) <= bound_a + bound_b, (a, b, c)
+            if real:
+                assert exact[b] == int(factor.real) * exact[a], (a, b, c)
+
+
 @pytest.mark.parametrize("chi1, chi2", [(LEG3, LEG3), (LEG5, LEG5), (LEG7, LEG7),
                                         (LEG3, LEG7), (LEG7, LEG3)],
                          ids=["3-3", "5-5", "7-7", "3-7", "7-3"])
@@ -781,10 +804,13 @@ def test_korobov_validation():
 
 
 def test_bound_ratio_values():
-    assert bound_ratio(LEG5, LEG5, 1, 25) < 1e-9
-    val = bound_ratio(LEG5, LEG5, 6, 25)
+    res = s_analytic(LEG5, LEG5, 1, 25)
+    assert ratio_to_bound(abs(res.value), res.max_partial_quotient, 25 // 5) < 1e-9
+    res = s_analytic(LEG5, LEG5, 6, 25)
+    val = ratio_to_bound(abs(res.value), res.max_partial_quotient, 25 // 5)
     assert abs(val - 2 / (5 * math.log(5) ** 2)) < 1e-3
-    assert bound_ratio(LEG5, LEG5, 7, 50, method="double_sum") >= 0
+    res = s_double_sum(LEG5, LEG5, 7, 50)
+    assert ratio_to_bound(abs(res.value), res.max_partial_quotient, 50 // 5) >= 0
 
 
 def test_elementary_inequalities():

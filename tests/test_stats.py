@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from newform_dedekind.characters import character_from_index, legendre_character
-from newform_dedekind.dedekind import s_analytic_table, s_double_sum_exact
+from newform_dedekind.dedekind import s_analytic_table, s_double_sum_exact, s_double_sum_table
 from newform_dedekind.stats import (
     CSV_HEADER,
     LargevalRecord,
@@ -34,7 +34,7 @@ def small_config(**kw):
 
 def test_scan_counts_match_manual_recount():
     config = small_config()
-    count, records = scan_F(config)
+    count, records, _ = scan_F(config)
     assert count == 362
     threshold = config.alpha * math.log(config.C_max) ** 3
     manual = sum(1 for r in records if r.S_abs > threshold)
@@ -61,26 +61,26 @@ def test_scan_methods_agree():
 
 
 def test_scan_both_records_deviation():
-    count, records = scan_F(small_config(method="both", C_max=100))
-    assert scan_F.last_max_deviation < 1e-6
+    count, records, deviation = scan_F(small_config(method="both", C_max=100))
+    assert deviation < 1e-6
     assert count == scan_F(small_config(C_max=100))[0]
 
 
 def test_scan_empty_range():
-    count, records = scan_F(small_config(C_max=20))
-    assert (count, records) == (0, [])
+    assert scan_F(small_config(C_max=20)) == (0, [], None)
+    assert scan_F(small_config(C_max=20, method="both")) == (0, [], 0.0)
 
 
 def test_scan_huge_alpha_counts_nothing():
-    count, records = scan_F(small_config(alpha=1e9))
+    count, records, _ = scan_F(small_config(alpha=1e9))
     assert count == 0
     assert records and not any(r.exceeds_threshold for r in records)
 
 
 def test_scan_exceedances_only_subset():
     config = small_config(alpha=0.05)
-    full_count, full = scan_F(config)
-    only_count, only = scan_F(small_config(alpha=0.05, exceedances_only=True))
+    full_count, full, _ = scan_F(config)
+    only_count, only, _ = scan_F(small_config(alpha=0.05, exceedances_only=True))
     assert only_count == full_count
     kept = [(r.c, r.a) for r in full if r.exceeds_threshold]
     assert [(r.c, r.a) for r in only] == kept
@@ -211,7 +211,7 @@ def test_largeval_rejects_bad_k():
 def test_emit_read_round_trip():
     # floats are rounded to 12 significant digits on the way out, so a parsed
     # record re-serializes identically but is only float-close to the original
-    _, records = scan_F(small_config(C_max=75))
+    _, records, _ = scan_F(small_config(C_max=75))
     for fmt in ("csv", "jsonl"):
         text = emit(records, fmt)
         back = read_records(text if fmt == "csv" else io.StringIO(text), fmt)
@@ -233,7 +233,7 @@ def test_emit_read_round_trip_empty():
 
 def test_read_records_path_with_comma(tmp_path):
     # a path is never mistaken for CSV text, whatever characters it holds
-    _, records = scan_F(small_config(C_max=50))
+    _, records, _ = scan_F(small_config(C_max=50))
     assert len(records) == 40
     folder = tmp_path / "a,b"
     folder.mkdir()
@@ -246,7 +246,7 @@ def test_read_records_path_with_comma(tmp_path):
 
 
 def test_emit_sorts_shuffled_input():
-    _, records = scan_F(small_config(C_max=75))
+    _, records, _ = scan_F(small_config(C_max=75))
     shuffled = records[:]
     random.Random(7).shuffle(shuffled)
     assert emit(shuffled) == emit(records)
@@ -285,8 +285,8 @@ def test_emit_largeval_records():
 
 def test_summarize_contents():
     config = small_config(C_max=100)
-    count, records = scan_F(config)
-    summary = summarize(config, count, records)
+    count, records, deviation = scan_F(config)
+    summary = summarize(config, count, records, deviation)
     assert summary["count"] == count
     assert summary["C"] == 100 and summary["alpha"] == 0.01
     assert summary["pair"] == [{"q": 5, "index": 2}, {"q": 5, "index": 2}]
@@ -304,6 +304,22 @@ def test_summarize_contents():
 
 def test_summarize_both_adds_deviation():
     config = small_config(C_max=50, method="both")
-    count, records = scan_F(config)
-    summary = summarize(config, count, records)
+    count, records, deviation = scan_F(config)
+    summary = summarize(config, count, records, deviation)
     assert 0.0 <= summary["max_method_deviation"] < 1e-6
+
+
+def test_each_summary_carries_its_own_scans_deviation():
+    # the scans run first and are summarized after, so no scan's deviation
+    # may leak into the summary of another
+    configs = [ScanConfig(((5, 1), (5, 3)), 150, 0.05, method="both"),
+               ScanConfig(PAIR55, 50, 0.05, method="both")]
+    results = [scan_F(config) for config in configs]
+    for config, (count, records, deviation) in zip(configs, results):
+        chi1, chi2 = (character_from_index(q, i) for q, i in config.char_pair)
+        want = max(abs(an[2] - ds[2])
+                   for c in range(25, config.C_max + 1, 25)
+                   for an, ds in zip(s_analytic_table(chi1, chi2, c, config.target_error),
+                                     s_double_sum_table(chi1, chi2, c)))
+        assert summarize(config, count, records, deviation)["max_method_deviation"] == want
+    assert results[0][2] != results[1][2]
