@@ -93,11 +93,13 @@ def cmd_cf(args):
 
 def cmd_hensley(args):
     phi, g = contfrac.quotient_counts(args.alpha, args.C)
-    pred = contfrac.hensley_prediction(args.alpha, args.C)
+    M = contfrac.quotient_cutoff(args.alpha, args.C)  # phi counts D <= M: predict at M/log C too
     print(f"phi_count = {phi}")
     print(f"g_count = {g}")
-    print(f"prediction = {pred:.6g}")
-    print(f"ratio = {phi / pred:.6g}")
+    for at, alpha in (("", args.alpha), ("_at_M", M / math.log(args.C))):
+        pred = contfrac.hensley_prediction(alpha, args.C) if alpha else 0.0
+        print(f"prediction{at} = {pred:.6g}")
+        print(f"ratio{at} = {phi / pred if pred else math.nan:.6g}")
     return 0
 
 
@@ -113,10 +115,10 @@ def cmd_scan(args):
         target_error=args.eps,
         exceedances_only=args.exceedances_only,
     )
-    count, records, max_dev = stats.scan_F(config)
-    print(f"count = {count}", file=sys.stderr)
+    records, measured = stats.scan_F(config)
+    print(f"count = {measured['count']}", file=sys.stderr)
     stats.emit(records, args.format, args.out or sys.stdout)
-    summary = stats.summarize(config, count, records, max_dev)
+    summary = stats.summarize(config, measured)
     if args.summary:
         with open(args.summary, "w") as fh:
             json.dump(summary, fh, indent=2)

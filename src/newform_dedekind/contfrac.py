@@ -21,6 +21,7 @@ __all__ = [
     "matrix_factorization",
     "reverse_denominator_expansion",
     "digit_symmetry_delta",
+    "quotient_cutoff",
     "quotient_counts",
     "phi_count",
     "g_count",
@@ -232,6 +233,11 @@ def _unit_digits(lo, hi):
     return ((a, c, _euclid_rows(a, c)[0].max(axis=1)) for a, c in _unit_blocks(lo, hi))
 
 
+def quotient_cutoff(alpha, C):
+    """M = floor(min(alpha*log C, C)): the largest digit quotient_counts admits."""
+    return math.floor(min(alpha * math.log(C), C))
+
+
 _LOOKUP_BLOCK = 1 << 16  # table lookups per step of quotient_counts; bounds its memory
 
 
@@ -256,7 +262,7 @@ def quotient_counts(alpha, C):
         raise ValueError("need C >= 3")
     if not alpha > 0:
         raise ValueError("need alpha > 0")
-    M = math.floor(min(alpha * math.log(C), C))
+    M = quotient_cutoff(alpha, C)
     X = max(2, round(2.5 * C ** (1 / 3)))
     U = C // X
     cum = np.zeros((U + 1, U + 1), dtype=np.int32)

@@ -76,7 +76,7 @@ class GammaMatrix:
             raise ValueError("determinant must be 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DedekindSumResult:
     value: complex
     method: str  # 'double_sum' or 'analytic'

@@ -80,13 +80,13 @@ class LargevalRecord:
 
 
 def scan_F(config):
-    """Run the sweep; returns (exceedance_count, records, max_method_deviation).
+    """Run the sweep; returns (records, measured).
 
     The c values run in order in the calling thread: with the per-c table
     most of a c's time holds the GIL, so a second thread gained nothing at
-    C_max = 450. max_method_deviation is the largest |analytic - double_sum|
-    over every row when method is 'both' (0.0 if there is none), else None.
-    An empty range (C_max < q1*q2) gives (0, [], None), or (0, [], 0.0) for 'both'.
+    C_max = 450. measured is taken over every row evaluated, kept or not: the count
+    above alpha*log^3 C_max, max_bound_ratio and second_moment_table (each c's sum of
+    |S|^2), and max_method_deviation exactly when method is 'both' (maxima of no rows are 0.0).
     """
     chi1, chi2 = (character_from_index(q, i) for q, i in config.char_pair)
     dedekind.check_admissible(chi1, chi2)
@@ -100,7 +100,7 @@ def scan_F(config):
         raise ValueError(f"unknown method {config.method!r}")
     q1q2 = chi1.modulus * chi2.modulus
     threshold = config.alpha * math.log(config.C_max) ** 3
-    count, records, max_dev = 0, [], 0.0
+    records, count, max_ratio, moments, max_dev = [], 0, 0.0, {}, 0.0
     for c in range(q1q2, config.C_max + 1, q1q2):
         cp = c // chi2.modulus
         rows = (dedekind.s_double_sum_table(chi1, chi2, c) if config.method == "double_sum"
@@ -108,14 +108,20 @@ def scan_F(config):
         refs = dedekind.s_double_sum_table(chi1, chi2, c) if config.method == "both" else ()
         for (a, _, val, bound), ref in zip(rows, refs):
             max_dev = max(max_dev, dedekind.check_agreement(val, ref[2], bound, a, c))
+        moment = 0.0
         for a, d, val, bound in rows:
             sabs = abs(val)
+            moment += sabs**2
             exceeds = sabs > threshold
-            if exceeds:
-                count += 1
-            if exceeds or not config.exceedances_only:
+            count += exceeds
+            keep = exceeds or not config.exceedances_only
+            # |S|/log^2 c' is the ratio at D = 1, an upper bound: skip a dropped row under the max
+            if keep or dedekind.ratio_to_bound(sabs, 1, cp) > max_ratio:
                 cf = expand(a, cp)
                 D = max(cf.partials)
+                ratio = dedekind.ratio_to_bound(sabs, D, cp)
+                max_ratio = max(max_ratio, ratio)
+            if keep:
                 records.append(
                     ScanRecord(
                         c=c,
@@ -126,11 +132,15 @@ def scan_F(config):
                         S_re=val.real,
                         S_im=val.imag,
                         S_abs=sabs,
-                        bound_ratio=dedekind.ratio_to_bound(sabs, D, cp),
+                        bound_ratio=ratio,
                         exceeds_threshold=exceeds,
                     )
                 )
-    return count, records, max_dev if config.method == "both" else None
+        moments[str(c)] = moment
+    measured = {"count": count, "max_bound_ratio": max_ratio, "second_moment_table": moments}
+    if config.method == "both":
+        measured["max_method_deviation"] = max_dev
+    return records, measured
 
 
 def second_moment(chi1, chi2, c):
@@ -272,25 +282,13 @@ def read_records(source, fmt="csv"):
     return records
 
 
-def summarize(config, count, records, max_method_deviation):
-    """Summary dict {count, C, alpha, pair, max_bound_ratio, second_moment_table},
-    plus max_method_deviation unless it is None: scan_F's three results in turn.
-
-    The per-c moment table is accumulated from the records, so it equals the
-    true second moment only when the scan recorded every pair.
-    """
-    table = {}
-    for r in records:
-        table[str(r.c)] = table.get(str(r.c), 0.0) + r.S_abs**2
-    (q1, i1), (q2, i2) = config.char_pair
-    out = {
-        "count": count,
+def summarize(config, measured):
+    """scan_F's measured dict with the config's C, alpha and pair added after its count:
+    {count, C, alpha, pair, max_bound_ratio, second_moment_table[, max_method_deviation]}."""
+    return {
+        "count": measured["count"],  # measured's other keys follow the pair
         "C": config.C_max,
         "alpha": _json_value(config.alpha),
-        "pair": [{"q": q1, "index": i1}, {"q": q2, "index": i2}],
-        "max_bound_ratio": max((r.bound_ratio for r in records), default=0.0),
-        "second_moment_table": table,
+        "pair": [{"q": q, "index": i} for q, i in config.char_pair],
+        **measured,
     }
-    if max_method_deviation is not None:
-        out["max_method_deviation"] = max_method_deviation
-    return out

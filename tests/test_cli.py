@@ -123,6 +123,29 @@ def test_hensley_counts(capsys):
     assert abs(float(got["ratio"]) - 6 / pred) < 1e-4
 
 
+def test_hensley_ratio_at_the_counts_cutoff(capsys):
+    # phi counts D <= M = floor(alpha*log C) = 11, so the last two lines
+    # predict at alpha_eff = 11/log 2000
+    rc, out, _ = run(capsys, ["hensley", "--C", "2000", "--alpha", "1.5"])
+    assert rc == 0
+    got = dict(line.split(" = ") for line in out.strip().split("\n"))
+    assert list(got) == ["phi_count", "g_count", "prediction", "ratio",
+                         "prediction_at_M", "ratio_at_M"]
+    assert got["ratio"] == "1.07482" and got["ratio_at_M"] == "1.10708"
+    want = contfrac.hensley_prediction(11 / math.log(2000), 2000)
+    assert got["prediction_at_M"] == f"{want:.6g}" == "524821"
+
+
+def test_hensley_zero_prediction_prints_nan(capsys):
+    # M = 0 predicts 0 at the cutoff, and this alpha's prediction underflows to 0
+    rc, out, _ = run(capsys, ["hensley", "--C", "10", "--alpha", "1e-6"])
+    assert rc == 0
+    got = dict(line.split(" = ") for line in out.strip().split("\n"))
+    assert got["phi_count"] == "0" and got["g_count"] == "22"
+    assert got["prediction"] == got["prediction_at_M"] == "0"
+    assert got["ratio"] == got["ratio_at_M"] == "nan"
+
+
 def test_hensley_huge_alpha_admits_everything(capsys):
     rc, out, _ = run(capsys, ["hensley", "--C", "10", "--alpha", "1e9"])
     assert rc == 0

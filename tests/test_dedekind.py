@@ -259,6 +259,7 @@ def test_double_sum_result_fields():
     assert res.truncation_bound == 0.0
     assert res.d_used == 21
     assert res.max_partial_quotient == 5  # D(6 mod 5, 5) = D(1, 5)
+    assert not hasattr(res, "__dict__")  # slotted: each result holds no instance dict
 
 
 def test_conjugation_symmetry():

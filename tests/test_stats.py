@@ -34,7 +34,8 @@ def small_config(**kw):
 
 def test_scan_counts_match_manual_recount():
     config = small_config()
-    count, records, _ = scan_F(config)
+    records, measured = scan_F(config)
+    count = measured["count"]
     assert count == 362
     threshold = config.alpha * math.log(config.C_max) ** 3
     manual = sum(1 for r in records if r.S_abs > threshold)
@@ -53,35 +54,37 @@ def test_scan_counts_match_manual_recount():
 def test_scan_methods_agree():
     fast = scan_F(small_config())
     slow = scan_F(small_config(method="double_sum"))
-    assert fast[0] == slow[0]
-    for r1, r2 in zip(fast[1], slow[1]):
+    assert fast[1]["count"] == slow[1]["count"]
+    for r1, r2 in zip(fast[0], slow[0]):
         assert (r1.c, r1.a, r1.d, r1.D, r1.cf_len) == (r2.c, r2.a, r2.d, r2.D, r2.cf_len)
         assert abs(r1.S_abs - r2.S_abs) < 1e-5
         assert r1.exceeds_threshold == r2.exceeds_threshold
 
 
 def test_scan_both_records_deviation():
-    count, records, deviation = scan_F(small_config(method="both", C_max=100))
-    assert deviation < 1e-6
-    assert count == scan_F(small_config(C_max=100))[0]
+    records, measured = scan_F(small_config(method="both", C_max=100))
+    assert measured["max_method_deviation"] < 1e-6
+    assert measured["count"] == scan_F(small_config(C_max=100))[1]["count"]
 
 
 def test_scan_empty_range():
-    assert scan_F(small_config(C_max=20)) == (0, [], None)
-    assert scan_F(small_config(C_max=20, method="both")) == (0, [], 0.0)
+    empty = {"count": 0, "max_bound_ratio": 0.0, "second_moment_table": {}}
+    assert scan_F(small_config(C_max=20)) == ([], empty)
+    assert scan_F(small_config(C_max=20, method="both")) == (
+        [], {**empty, "max_method_deviation": 0.0})
 
 
 def test_scan_huge_alpha_counts_nothing():
-    count, records, _ = scan_F(small_config(alpha=1e9))
-    assert count == 0
+    records, measured = scan_F(small_config(alpha=1e9))
+    assert measured["count"] == 0
     assert records and not any(r.exceeds_threshold for r in records)
 
 
 def test_scan_exceedances_only_subset():
     config = small_config(alpha=0.05)
-    full_count, full, _ = scan_F(config)
-    only_count, only, _ = scan_F(small_config(alpha=0.05, exceedances_only=True))
-    assert only_count == full_count
+    full, full_measured = scan_F(config)
+    only, only_measured = scan_F(small_config(alpha=0.05, exceedances_only=True))
+    assert only_measured["count"] == full_measured["count"]
     kept = [(r.c, r.a) for r in full if r.exceeds_threshold]
     assert [(r.c, r.a) for r in only] == kept
     assert all(r.exceeds_threshold for r in only)
@@ -211,7 +214,7 @@ def test_largeval_rejects_bad_k():
 def test_emit_read_round_trip():
     # floats are rounded to 12 significant digits on the way out, so a parsed
     # record re-serializes identically but is only float-close to the original
-    _, records, _ = scan_F(small_config(C_max=75))
+    records, _ = scan_F(small_config(C_max=75))
     for fmt in ("csv", "jsonl"):
         text = emit(records, fmt)
         back = read_records(text if fmt == "csv" else io.StringIO(text), fmt)
@@ -233,7 +236,7 @@ def test_emit_read_round_trip_empty():
 
 def test_read_records_path_with_comma(tmp_path):
     # a path is never mistaken for CSV text, whatever characters it holds
-    _, records, _ = scan_F(small_config(C_max=50))
+    records, _ = scan_F(small_config(C_max=50))
     assert len(records) == 40
     folder = tmp_path / "a,b"
     folder.mkdir()
@@ -246,7 +249,7 @@ def test_read_records_path_with_comma(tmp_path):
 
 
 def test_emit_sorts_shuffled_input():
-    _, records, _ = scan_F(small_config(C_max=75))
+    records, _ = scan_F(small_config(C_max=75))
     shuffled = records[:]
     random.Random(7).shuffle(shuffled)
     assert emit(shuffled) == emit(records)
@@ -285,9 +288,9 @@ def test_emit_largeval_records():
 
 def test_summarize_contents():
     config = small_config(C_max=100)
-    count, records, deviation = scan_F(config)
-    summary = summarize(config, count, records, deviation)
-    assert summary["count"] == count
+    records, measured = scan_F(config)
+    summary = summarize(config, measured)
+    assert summary["count"] == measured["count"]
     assert summary["C"] == 100 and summary["alpha"] == 0.01
     assert summary["pair"] == [{"q": 5, "index": 2}, {"q": 5, "index": 2}]
     assert summary["max_bound_ratio"] == max(r.bound_ratio for r in records)
@@ -304,8 +307,7 @@ def test_summarize_contents():
 
 def test_summarize_both_adds_deviation():
     config = small_config(C_max=50, method="both")
-    count, records, deviation = scan_F(config)
-    summary = summarize(config, count, records, deviation)
+    summary = summarize(config, scan_F(config)[1])
     assert 0.0 <= summary["max_method_deviation"] < 1e-6
 
 
@@ -315,11 +317,34 @@ def test_each_summary_carries_its_own_scans_deviation():
     configs = [ScanConfig(((5, 1), (5, 3)), 150, 0.05, method="both"),
                ScanConfig(PAIR55, 50, 0.05, method="both")]
     results = [scan_F(config) for config in configs]
-    for config, (count, records, deviation) in zip(configs, results):
+    for config, (_, measured) in zip(configs, results):
         chi1, chi2 = (character_from_index(q, i) for q, i in config.char_pair)
         want = max(abs(an[2] - ds[2])
                    for c in range(25, config.C_max + 1, 25)
                    for an, ds in zip(s_analytic_table(chi1, chi2, c, config.target_error),
                                      s_double_sum_table(chi1, chi2, c)))
-        assert summarize(config, count, records, deviation)["max_method_deviation"] == want
-    assert results[0][2] != results[1][2]
+        assert summarize(config, measured)["max_method_deviation"] == want
+    assert results[0][1]["max_method_deviation"] != results[1][1]["max_method_deviation"]
+
+
+@pytest.mark.parametrize("pair", [((5, 2), (5, 2)), ((5, 1), (5, 1)), ((5, 1), (5, 3)),
+                                  ((5, 3), (5, 1)), ((5, 3), (5, 3))])
+def test_exceedances_only_summary_equals_full(pair):
+    # the summary is measured over every row evaluated, so keeping only the
+    # exceedances changes the records and nothing of the summary
+    full, only = (ScanConfig(pair, 150, 0.05, method="both", exceedances_only=flag)
+                  for flag in (False, True))
+    full_records, full_measured = scan_F(full)
+    only_records, only_measured = scan_F(only)
+    assert len(only_records) < len(full_records)
+    assert summarize(only, only_measured) == summarize(full, full_measured)
+    assert full_measured["max_bound_ratio"] == max(r.bound_ratio for r in full_records)
+
+
+def test_moment_table_covers_rows_not_kept():
+    # at this alpha no row exceeds, so no record is kept; the table still holds
+    # each c's whole second moment, exact for the double sum
+    _, measured = scan_F(small_config(C_max=225, alpha=1e9, method="double_sum",
+                                      exceedances_only=True))
+    assert measured["second_moment_table"]["225"] == 4592 == second_moment(LEG5, LEG5, 225)
+    assert set(measured["second_moment_table"]) == {str(c) for c in range(25, 226, 25)}
