@@ -219,19 +219,6 @@ def _suite_agreement(args):
 _CF_SAMPLE = 100  # pairs on which the cf suite checks the scalar functions
 
 
-def _convergents(partials, n):
-    """(p_n, q_n, p_{n-1}, q_{n-1}) of [0; a1, ..., an] for every row, the
-    digits in the first n columns of partials and zeros after them."""
-    pq = np.repeat([[0], [1]], n.size, axis=1)  # (p_k, q_k), from k = 0
-    prev = 1 - pq  # (p_{k-1}, q_{k-1})
-    for x in partials.T:
-        pq, prev = x * pq + prev, pq
-    # a zero digit swaps the pair, so a row ends swapped if columns - n is odd
-    swapped = (partials.shape[1] - n) % 2 == 1
-    pq[:, swapped], prev[:, swapped] = prev[:, swapped], pq[:, swapped]
-    return (*pq, *prev)
-
-
 def _suite_cf(args):
     """Every unit a mod c, c <= cmax, from one Euclid pass per block of
     moduli: the odd expansion's convergent is a/c, its matrix is (a b; c d)
@@ -248,17 +235,16 @@ def _suite_cf(args):
         sample.setdefault(c, []).append(_random_unit(rng, c))
     for a, c in contfrac._unit_blocks(2, cmax):
         partials, n, _ = contfrac._euclid_rows(a, c)
-        D = partials.max(axis=1)
+        digits = partials.T  # (digit, row): digit k of every row is contiguous
+        D = digits.max(axis=0)
         # [..., x] = [..., x - 1, 1] makes every digit count odd
-        odd = np.pad(partials, ((0, 0), (0, 1)))
+        odd = np.concatenate([digits, np.zeros((1, n.size), dtype=digits.dtype)])
         even = np.nonzero(n % 2 == 0)[0]
-        odd[even, n[even] - 1] -= 1
-        odd[even, n[even]] = 1
+        odd[n[even] - 1, even] -= 1
+        odd[n[even], even] = 1
         n[even] += 1
-        W = odd.shape[1]  # column k takes digit n - 1 - k, past n one of the zero columns
-        rev = np.take_along_axis(odd, (n[:, None] - 1 - np.arange(W)) % W, axis=1)
-        p, q, b, d_col = _convergents(odd, n)
-        d, den, _, _ = _convergents(rev, n)
+        p, q, b, d_col = contfrac._convergents(odd, n)
+        d, den, _, _ = contfrac._convergents(odd, n, reverse=True)
         ok_rev = (den == c) & (0 < d) & (d < c) & (a * d % c == 1)
         # rows run by c then a, so (c, a) -> row is a search on this key
         key = c * (cmax + 1) + a
@@ -280,7 +266,7 @@ def _suite_cf(args):
                 if i == key.size or key[i] != cc * (cmax + 1) + x:
                     lines = [f"cf: the table lists {x} as no unit mod {cc}"]
                 else:
-                    lines = _cf_scalar_failures(x, cc, rev[i, :n[i]], d[i], delta[i],
+                    lines = _cf_scalar_failures(x, cc, odd[:n[i], i][::-1], d[i], delta[i],
                                                 ((x, int(b[i])), (cc, int(d_col[i]))))
                 found.extend((cc, len(checks), j, line) for line in lines)
         failures.extend(line for *_, line in sorted(found, key=lambda f: f[:3]))

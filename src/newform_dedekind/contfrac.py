@@ -170,33 +170,66 @@ def digit_symmetry_delta(a, c):
     return delta
 
 
-def _euclid_rows(a, c):
+def _euclid_steps(a, c):
     """Vectorized Euclid on the pairs (a[i], c[i]), 0 < a < c, at once.
 
-    Returns (partials, n, g): row i of the int64 matrix partials holds the
-    partial quotients of a[i]/c[i] in its first n[i] columns and zeros after
-    them, and g[i] = gcd(a[i], c[i]).
+    Yields one (live, q, done, y) per division step x = q*y + r: the indices
+    live of the rows still running, their quotients q, the mask done of the
+    rows that finish at this step (r = 0) and the divisors y, so that
+    y[done] = gcd(a, c) of those rows.
     """
     y = np.asarray(a, dtype=np.int64)
-    x = np.broadcast_to(np.asarray(c, dtype=np.int64), y.shape).copy()
+    x = np.broadcast_to(np.asarray(c, dtype=np.int64), y.shape)
     if y.ndim != 1 or not ((0 < y) & (y < x)).all():
         raise ValueError("need a one-dimensional array of pairs with 0 < a < c")
     live = np.arange(y.size)  # rows whose Euclid has not finished
-    n, g = np.empty_like(y), np.empty_like(y)
-    columns = []
     while live.size:
-        q = x // y
+        q, r = np.divmod(x, y)
+        done = r == 0
+        yield live, q, done, y
+        keep = ~done
+        live, x, y = live[keep], y[keep], r[keep]
+
+
+def _euclid_rows(a, c):
+    """_euclid_steps as a table: returns (partials, n, g), where row i of the
+    int64 matrix partials holds the partial quotients of a[i]/c[i] in its
+    first n[i] columns and zeros after them, and g[i] = gcd(a[i], c[i]).
+    partials is the transpose of a C-contiguous (digit, row) array, so
+    partials.T is that array without a copy.
+    """
+    n = np.empty(np.shape(a), dtype=np.int64)
+    g = np.empty_like(n)
+    columns = []
+    for live, q, done, y in _euclid_steps(a, c):
         columns.append((live, q))
-        x, y = y, x - q * y
-        done = y == 0
-        n[live[done]] = len(columns)
-        g[live[done]] = x[done]
-        live, x, y = live[~done], x[~done], y[~done]
-    # filled column by column, so each column is contiguous
+        finished = live[done]
+        n[finished] = len(columns)
+        g[finished] = y[done]
+    # filled digit by digit, so each digit's row is contiguous
     partials = np.zeros((len(columns), n.size), dtype=np.int64)
     for k, (rows, q) in enumerate(columns):
         partials[k, rows] = q
     return partials.T, n, g
+
+
+def _convergents(digits, n, reverse=False):
+    """(p_n, q_n, p_{n-1}, q_{n-1}) of [0; a1, ..., an] for every column of the
+    (digit, row) array digits, which holds a1..an in its first n rows and
+    zeros after them; with reverse, of the reversed [0; an, ..., a1]."""
+    # a zero digit swaps the two pairs, so a column with an odd count of
+    # zeros ends swapped; reversed, the zeros come first, and such a column
+    # starts from the swapped state, which they turn into (p, q) = (0, 1)
+    swapped = (digits.shape[0] - n) % 2 == 1
+    start = swapped & reverse
+    pq = np.stack([start, ~start]).astype(np.int64)  # (p_k, q_k), from k = 0
+    prev = 1 - pq  # (p_{k-1}, q_{k-1})
+    for x in digits[::-1] if reverse else digits:
+        prev += x * pq
+        pq, prev = prev, pq
+    if not reverse:
+        pq, prev = np.where(swapped, prev, pq), np.where(swapped, pq, prev)
+    return (*pq, *prev)
 
 
 def _max_quotient_table(c):
@@ -229,8 +262,13 @@ def _unit_blocks(lo, hi):
 
 
 def _unit_digits(lo, hi):
-    """_unit_blocks(lo, hi) with D, the largest partial quotient of each a/c."""
-    return ((a, c, _euclid_rows(a, c)[0].max(axis=1)) for a, c in _unit_blocks(lo, hi))
+    """_unit_blocks(lo, hi) with D, the largest partial quotient of each a/c,
+    as a running max over the Euclid steps."""
+    for a, c in _unit_blocks(lo, hi):
+        D = np.zeros_like(a)
+        for live, q, _, _ in _euclid_steps(a, c):
+            np.maximum.at(D, live, q)
+        yield a, c, D
 
 
 def quotient_cutoff(alpha, C):

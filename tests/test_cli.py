@@ -197,6 +197,23 @@ def test_verify_cf_fails_on_a_perturbed_euclid_table(capsys, monkeypatch):
     assert out.startswith("verify cf: ") and out.endswith(" failure(s)\n")
 
 
+def test_verify_cf_fails_on_a_perturbed_reversal(capsys, monkeypatch):
+    real = contfrac._convergents
+
+    def perturbed(digits, n, reverse=False):
+        p, q, p_prev, q_prev = real(digits, n, reverse)
+        if reverse:
+            p = p.copy()
+            p[(p == 5) & (q == 7)] += 1  # 3/7 reversed is 5/7, read as 6/7
+        return p, q, p_prev, q_prev
+
+    monkeypatch.setattr(contfrac, "_convergents", perturbed)
+    rc, out, err = run(capsys, ["verify", "--suite", "cf", "--cmax", "40"])
+    assert rc == 1
+    assert "FAIL cf: reversal is not d/c with a*d = 1 mod c at (3, 7)" in err.splitlines()
+    assert out.startswith("verify cf: ") and out.endswith(" failure(s)\n")
+
+
 def test_verify_korobov_fails_on_a_perturbed_kernel(capsys, monkeypatch):
     real = dedekind._korobov_kernel
 

@@ -249,6 +249,45 @@ def test_unit_blocks_list_every_unit_pair_in_order():
     assert a.size == 2000 and (c == 5000).all()
 
 
+def test_convergents_row_by_row():
+    # each row's odd expansion, padded with zeros to the Euclid table's width
+    # plus one as in the cf suite, forward and reversed against from_terms
+    parities = set()
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=25)
+    @given(st.integers(2, 600), st.integers(0, 600))
+    def check(lo, span):
+        a, c = next(contfrac._unit_blocks(lo, min(600, lo + span)))
+        W = contfrac._euclid_rows(a, c)[0].shape[1] + 1
+        odd = [to_parity_form(expand(x, y), want_odd_n=True).partials
+               for x, y in zip(a.tolist(), c.tolist())]
+        n = np.array([len(t) for t in odd])
+        digits = np.zeros((W, a.size), dtype=np.int64)
+        for i, t in enumerate(odd):
+            digits[:len(t), i] = t
+        forward = contfrac._convergents(digits, n)
+        reverse = contfrac._convergents(digits, n, reverse=True)
+        for i, t in enumerate(odd):
+            for got, terms in ((forward, t), (reverse, t[::-1])):
+                last = ContinuedFraction.from_terms(0, terms)
+                prev = ContinuedFraction.from_terms(0, terms[:-1])
+                assert [int(v[i]) for v in got] == [last.numerator, last.denominator,
+                                                    prev.numerator, prev.denominator]
+        parities.update(((W - n) % 2).tolist())
+
+    check()
+    # an odd count of zero digits swaps the pairs: both cases were exercised
+    assert parities == {0, 1}
+
+
+def test_unit_digits_D_is_the_largest_partial_quotient():
+    rng = np.random.default_rng(5)
+    for a, c, D in contfrac._unit_digits(2, 1000):
+        assert np.array_equal(D, contfrac._euclid_rows(a, c)[0].max(axis=1))
+        for i in rng.choice(a.size, size=min(a.size, 20), replace=False):
+            assert D[i] == max_partial_quotient(int(a[i]), int(c[i]))
+
+
 def test_quotient_counts_walk_matches_per_c_euclid():
     tables = {c: reference_D(c) for c in range(3, 121)}
     for C in range(3, 121):
