@@ -234,17 +234,19 @@ def _suite_cf(args):
         c = rng.randint(2, cmax)
         sample.setdefault(c, []).append(_random_unit(rng, c))
     for a, c in contfrac._unit_blocks(2, cmax):
-        partials, n, _ = contfrac._euclid_rows(a, c)
+        partials, n = contfrac._euclid_rows(a, c)
         digits = partials.T  # (digit, row): digit k of every row is contiguous
         D = digits.max(axis=0)
-        # [..., x] = [..., x - 1, 1] makes every digit count odd
-        odd = np.concatenate([digits, np.zeros((1, n.size), dtype=digits.dtype)])
+        # [..., x] = [..., x - 1, 1] makes every digit count odd; an odd height
+        # then leaves every column an even number of zeros
+        W = digits.shape[0]
+        odd = np.concatenate([digits, np.zeros((1 + W % 2, n.size), dtype=digits.dtype)])
         even = np.nonzero(n % 2 == 0)[0]
         odd[n[even] - 1, even] -= 1
         odd[n[even], even] = 1
         n[even] += 1
-        p, q, b, d_col = contfrac._convergents(odd, n)
-        d, den, _, _ = contfrac._convergents(odd, n, reverse=True)
+        p, q, b, d_col = contfrac._convergents(odd)
+        d, den, _, _ = contfrac._convergents(odd, reverse=True)
         ok_rev = (den == c) & (0 < d) & (d < c) & (a * d % c == 1)
         # rows run by c then a, so (c, a) -> row is a search on this key
         key = c * (cmax + 1) + a

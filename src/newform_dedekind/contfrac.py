@@ -143,7 +143,8 @@ def reverse_denominator_expansion(a, c):
     """Expansion of d/c with a*d = 1 mod c, as the reversed odd-parity form of a/c.
 
     The reversal identity: if a/c = [0; a1, ..., an] with n odd, then
-    d/c = [0; an, ..., a1]. Verified internally by re-expanding d/c.
+    d/c = [0; an, ..., a1]. Verified by checking that the reversal's
+    denominator is c and that a*d = 1 mod c.
     """
     if not 0 < a < c:
         raise ValueError("need 0 < a < c")
@@ -152,9 +153,6 @@ def reverse_denominator_expansion(a, c):
     d = rev.numerator
     if rev.denominator != c or a * d % c != 1:
         raise CertificationError(f"reversal {rev} of {a}/{c} is not d/c with a*d = 1 mod c")
-    check = expand(d, c)
-    if (check.numerator, check.denominator) != (d, c):
-        raise CertificationError(f"re-expanding the reversal {rev} of {a}/{c} gave {check}")
     return rev
 
 
@@ -173,10 +171,9 @@ def digit_symmetry_delta(a, c):
 def _euclid_steps(a, c):
     """Vectorized Euclid on the pairs (a[i], c[i]), 0 < a < c, at once.
 
-    Yields one (live, q, done, y) per division step x = q*y + r: the indices
-    live of the rows still running, their quotients q, the mask done of the
-    rows that finish at this step (r = 0) and the divisors y, so that
-    y[done] = gcd(a, c) of those rows.
+    Yields one (live, q, done) per division step x = q*y + r: the indices
+    live of the rows still running, their quotients q and the mask done of
+    the rows that finish at this step (r = 0).
     """
     y = np.asarray(a, dtype=np.int64)
     x = np.broadcast_to(np.asarray(c, dtype=np.int64), y.shape)
@@ -186,57 +183,47 @@ def _euclid_steps(a, c):
     while live.size:
         q, r = np.divmod(x, y)
         done = r == 0
-        yield live, q, done, y
+        yield live, q, done
         keep = ~done
         live, x, y = live[keep], y[keep], r[keep]
 
 
 def _euclid_rows(a, c):
-    """_euclid_steps as a table: returns (partials, n, g), where row i of the
+    """_euclid_steps as a table: returns (partials, n), where row i of the
     int64 matrix partials holds the partial quotients of a[i]/c[i] in its
-    first n[i] columns and zeros after them, and g[i] = gcd(a[i], c[i]).
-    partials is the transpose of a C-contiguous (digit, row) array, so
-    partials.T is that array without a copy.
+    first n[i] columns and zeros after them. partials is the transpose of a
+    C-contiguous (digit, row) array, so partials.T is that array without a
+    copy.
     """
     n = np.empty(np.shape(a), dtype=np.int64)
-    g = np.empty_like(n)
     columns = []
-    for live, q, done, y in _euclid_steps(a, c):
+    for live, q, done in _euclid_steps(a, c):
         columns.append((live, q))
-        finished = live[done]
-        n[finished] = len(columns)
-        g[finished] = y[done]
+        n[live[done]] = len(columns)
     # filled digit by digit, so each digit's row is contiguous
     partials = np.zeros((len(columns), n.size), dtype=np.int64)
     for k, (rows, q) in enumerate(columns):
         partials[k, rows] = q
-    return partials.T, n, g
+    return partials.T, n
 
 
-def _convergents(digits, n, reverse=False):
+def _convergents(digits, reverse=False):
     """(p_n, q_n, p_{n-1}, q_{n-1}) of [0; a1, ..., an] for every column of the
-    (digit, row) array digits, which holds a1..an in its first n rows and
-    zeros after them; with reverse, of the reversed [0; an, ..., a1]."""
-    # a zero digit swaps the two pairs, so a column with an odd count of
-    # zeros ends swapped; reversed, the zeros come first, and such a column
-    # starts from the swapped state, which they turn into (p, q) = (0, 1)
-    swapped = (digits.shape[0] - n) % 2 == 1
-    start = swapped & reverse
-    pq = np.stack([start, ~start]).astype(np.int64)  # (p_k, q_k), from k = 0
+    (digit, row) array digits, which holds a1..an in its first rows and an
+    even number of zeros after them; with reverse, of the reversed
+    [0; an, ..., a1]. A pair of zero digits leaves (p, q) unchanged."""
+    pq = np.stack([np.zeros_like(digits[0]), np.ones_like(digits[0])])  # (p_k, q_k), from k = 0
     prev = 1 - pq  # (p_{k-1}, q_{k-1})
     for x in digits[::-1] if reverse else digits:
         prev += x * pq
         pq, prev = prev, pq
-    if not reverse:
-        pq, prev = np.where(swapped, prev, pq), np.where(swapped, pq, prev)
     return (*pq, *prev)
 
 
 def _max_quotient_table(c):
-    """(D, g): for a = 1..c-1, D[a-1] is the largest partial quotient of a/c
-    and g[a-1] = gcd(a, c)."""
-    partials, _, g = _euclid_rows(np.arange(1, c), c)
-    return partials.max(axis=1, initial=0), g
+    """D[a-1], the largest partial quotient of a/c, for a = 1..c-1."""
+    # kept for bench/tracing.py, which wraps this name
+    return _euclid_rows(np.arange(1, c), c)[0].max(axis=1, initial=0)
 
 
 _PAIR_BLOCK = 1 << 12  # numerators per _unit_blocks block: 15% faster than 2**11, +1 MB peak RSS
@@ -266,7 +253,7 @@ def _unit_digits(lo, hi):
     as a running max over the Euclid steps."""
     for a, c in _unit_blocks(lo, hi):
         D = np.zeros_like(a)
-        for live, q, _, _ in _euclid_steps(a, c):
+        for live, q, _ in _euclid_steps(a, c):
             np.maximum.at(D, live, q)
         yield a, c, D
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dedekind
 from .characters import character_from_index
-from .contfrac import expand
+from .contfrac import _euclid_rows, expand  # expand: bench/tracing.py wraps stats.expand
 from .errors import CertificationError
 
 __all__ = [
@@ -108,27 +108,24 @@ def scan_F(config):
         refs = dedekind.s_double_sum_table(chi1, chi2, c) if config.method == "both" else ()
         for (a, _, val, bound), ref in zip(rows, refs):
             max_dev = max(max_dev, dedekind.check_agreement(val, ref[2], bound, a, c))
+        # D and cf_len of every row's a/c' from one Euclid table
+        partials, n = _euclid_rows(np.array([a for a, *_ in rows]) % cp, cp)
         moment = 0.0
-        for a, d, val, bound in rows:
+        for (a, d, val, bound), D, cf_len in zip(rows, partials.max(1).tolist(), n.tolist()):
             sabs = abs(val)
             moment += sabs**2
             exceeds = sabs > threshold
             count += exceeds
-            keep = exceeds or not config.exceedances_only
-            # |S|/log^2 c' is the ratio at D = 1, an upper bound: skip a dropped row under the max
-            if keep or dedekind.ratio_to_bound(sabs, 1, cp) > max_ratio:
-                cf = expand(a, cp)
-                D = max(cf.partials)
-                ratio = dedekind.ratio_to_bound(sabs, D, cp)
-                max_ratio = max(max_ratio, ratio)
-            if keep:
+            ratio = dedekind.ratio_to_bound(sabs, D, cp)
+            max_ratio = max(max_ratio, ratio)
+            if exceeds or not config.exceedances_only:
                 records.append(
                     ScanRecord(
                         c=c,
                         a=a,
                         d=d,
                         D=D,
-                        cf_len=cf.n,
+                        cf_len=cf_len,
                         S_re=val.real,
                         S_im=val.imag,
                         S_abs=sabs,

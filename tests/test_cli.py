@@ -183,12 +183,12 @@ def test_verify_cf_fails_on_a_perturbed_euclid_table(capsys, monkeypatch):
     real = contfrac._euclid_rows
 
     def perturbed(a, c):
-        partials, n, g = real(a, c)
+        partials, n = real(a, c)
         row = (a == 3) & (c == 7)
         if row.any():
             partials = partials.copy()
             partials[row, 0] += 1  # 3/7 = [0;2,3] read as [0;3,3]
-        return partials, n, g
+        return partials, n
 
     monkeypatch.setattr(contfrac, "_euclid_rows", perturbed)
     rc, out, err = run(capsys, ["verify", "--suite", "cf", "--cmax", "40"])
@@ -200,8 +200,8 @@ def test_verify_cf_fails_on_a_perturbed_euclid_table(capsys, monkeypatch):
 def test_verify_cf_fails_on_a_perturbed_reversal(capsys, monkeypatch):
     real = contfrac._convergents
 
-    def perturbed(digits, n, reverse=False):
-        p, q, p_prev, q_prev = real(digits, n, reverse)
+    def perturbed(digits, reverse=False):
+        p, q, p_prev, q_prev = real(digits, reverse)
         if reverse:
             p = p.copy()
             p[(p == 5) & (q == 7)] += 1  # 3/7 reversed is 5/7, read as 6/7

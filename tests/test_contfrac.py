@@ -211,27 +211,26 @@ def reference_counts(tables, alpha, C):
 
 def test_euclid_table_rows_are_the_expansions():
     for c in range(1, 201):
-        partials, n, g = contfrac._euclid_rows(np.arange(1, c), c)
-        assert partials.shape[0] == n.size == g.size == c - 1
+        partials, n = contfrac._euclid_rows(np.arange(1, c), c)
+        assert partials.shape[0] == n.size == c - 1
         for a in range(1, c):
-            assert g[a - 1] == math.gcd(a, c)
-            if g[a - 1] == 1:
-                assert tuple(partials[a - 1, :n[a - 1]]) == expand(a, c).partials
-                assert not partials[a - 1, n[a - 1]:].any()
+            # a/c and its reduced form (a/g)/(c/g) share their partials
+            g = math.gcd(a, c)
+            assert tuple(partials[a - 1, :n[a - 1]]) == expand(a // g, c // g).partials
+            assert not partials[a - 1, n[a - 1]:].any()
 
 
 def test_euclid_rows_on_random_pairs_are_the_expansions():
     rng = np.random.default_rng(11)
     c = rng.integers(2, 10**6, size=3000)
     a = rng.integers(1, c)
-    partials, n, g = contfrac._euclid_rows(a, c)
-    assert partials.shape[0] == n.size == g.size == a.size
+    partials, n = contfrac._euclid_rows(a, c)
+    assert partials.shape[0] == n.size == a.size
     for i in range(a.size):
         x, y = int(a[i]), int(c[i])
-        assert g[i] == math.gcd(x, y)
-        if g[i] == 1:
-            assert tuple(partials[i, :n[i]]) == expand(x, y).partials
-            assert not partials[i, n[i]:].any()
+        g = math.gcd(x, y)
+        assert tuple(partials[i, :n[i]]) == expand(x // g, y // g).partials
+        assert not partials[i, n[i]:].any()
     with pytest.raises(ValueError):
         contfrac._euclid_rows(np.array([3]), np.array([3]))
 
@@ -250,34 +249,34 @@ def test_unit_blocks_list_every_unit_pair_in_order():
 
 
 def test_convergents_row_by_row():
-    # each row's odd expansion, padded with zeros to the Euclid table's width
-    # plus one as in the cf suite, forward and reversed against from_terms
-    parities = set()
+    # each row's odd expansion, padded with zeros from the Euclid table's
+    # width W to the odd height W + 1 + W % 2 as in the cf suite, forward and
+    # reversed against from_terms
+    pads = set()
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=25)
     @given(st.integers(2, 600), st.integers(0, 600))
     def check(lo, span):
         a, c = next(contfrac._unit_blocks(lo, min(600, lo + span)))
-        W = contfrac._euclid_rows(a, c)[0].shape[1] + 1
+        W = contfrac._euclid_rows(a, c)[0].shape[1]
         odd = [to_parity_form(expand(x, y), want_odd_n=True).partials
                for x, y in zip(a.tolist(), c.tolist())]
-        n = np.array([len(t) for t in odd])
-        digits = np.zeros((W, a.size), dtype=np.int64)
+        digits = np.zeros((W + 1 + W % 2, a.size), dtype=np.int64)
         for i, t in enumerate(odd):
             digits[:len(t), i] = t
-        forward = contfrac._convergents(digits, n)
-        reverse = contfrac._convergents(digits, n, reverse=True)
+        forward = contfrac._convergents(digits)
+        reverse = contfrac._convergents(digits, reverse=True)
         for i, t in enumerate(odd):
             for got, terms in ((forward, t), (reverse, t[::-1])):
                 last = ContinuedFraction.from_terms(0, terms)
                 prev = ContinuedFraction.from_terms(0, terms[:-1])
                 assert [int(v[i]) for v in got] == [last.numerator, last.denominator,
                                                     prev.numerator, prev.denominator]
-        parities.update(((W - n) % 2).tolist())
+        pads.add(1 + W % 2)
 
     check()
-    # an odd count of zero digits swaps the pairs: both cases were exercised
-    assert parities == {0, 1}
+    # both pad heights, one and two zero rows, were exercised
+    assert pads == {1, 2}
 
 
 def test_unit_digits_D_is_the_largest_partial_quotient():

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from newform_dedekind import stats
 from newform_dedekind.characters import character_from_index, legendre_character
+from newform_dedekind.contfrac import expand, max_partial_quotient
 from newform_dedekind.dedekind import s_analytic_table, s_double_sum_exact, s_double_sum_table
 from newform_dedekind.stats import (
     CSV_HEADER,
@@ -348,3 +350,21 @@ def test_moment_table_covers_rows_not_kept():
                                       exceedances_only=True))
     assert measured["second_moment_table"]["225"] == 4592 == second_moment(LEG5, LEG5, 225)
     assert set(measured["second_moment_table"]) == {str(c) for c in range(25, 226, 25)}
+
+
+@pytest.mark.parametrize("pair", [PAIR55, ((5, 1), (5, 3))])
+@pytest.mark.parametrize("method", ["analytic", "double_sum"])
+@pytest.mark.parametrize("exceedances_only", [False, True])
+def test_scan_D_and_cf_len_match_the_scalar_expansion(pair, method, exceedances_only,
+                                                      monkeypatch):
+    # the scan reads D and cf_len from its Euclid table, never from expand
+    def no_expand(a, c):
+        raise AssertionError(f"scan_F called expand({a}, {c})")
+
+    monkeypatch.setattr(stats, "expand", no_expand)
+    records, _ = scan_F(ScanConfig(pair, 300, 0.05, method=method,
+                                   exceedances_only=exceedances_only))
+    assert records
+    for r in records:
+        assert r.D == max_partial_quotient(r.a, r.c // 5)
+        assert r.cf_len == expand(r.a, r.c // 5).n
