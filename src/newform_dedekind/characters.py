@@ -80,6 +80,12 @@ def _powers(g, count, m):
     return out
 
 
+def _units(q):
+    """The units mod q, ascending, as int64; uncached, so sweeps leave _unit_group's cache."""
+    n = np.arange(q, dtype=np.int64)
+    return n[np.gcd(n, q) == 1]
+
+
 @lru_cache(maxsize=None)
 def _unit_group(q):
     """Canonical cyclic decomposition of (Z/q)* with discrete-log tables.
@@ -120,8 +126,7 @@ def _unit_group(q):
             dlog[_powers(g, s, pe)] = np.arange(s)
             comps.append((s, _crt_lift(g, pe, q)))
             tables.append((pe, dlog))
-    n = np.arange(q)
-    units = n[np.gcd(n, q) == 1]
+    units = _units(q)
     # int32 keeps the cache small: the korobov suite fills it for every m <= qmax
     logs = np.empty((units.size, len(comps)), dtype=np.int32)
     for i, (m, dlog) in enumerate(tables):

@@ -281,7 +281,8 @@ def quotient_counts(alpha, C):
     int32 table cum[u, t] = #{v <= t : gcd(v, u) = 1, D(v, u) <= M}. Cost:
     M*C*X + U**2, so X ~ C**(1/3). Memory: the table and steps of at most
     _LOOKUP_BLOCK lookups, 4 MB in all at C = 10**5. g is the complement:
-    the totient sum of (phi(c) - 1) over 3 <= c <= C, minus phi.
+    the totient sum of (phi(c) - 1) over 3 <= c <= C, minus phi. A C whose
+    table and sieve pass 2 GiB (from C ~ 1.34*10**7) is rejected beforehand.
     """
     if C < 3:
         raise ValueError("need C >= 3")
@@ -290,6 +291,9 @@ def quotient_counts(alpha, C):
     M = quotient_cutoff(alpha, C)
     X = max(2, round(2.5 * C ** (1 / 3)))
     U = C // X
+    need = (U + 1) ** 2 * 4 + (C + 1) * 8  # bytes of cum and of the int64 totient sieve
+    if need > 2**31:
+        raise ValueError(f"C = {C} needs {need} bytes for cum and the sieve, over 2 GiB")
     cum = np.zeros((U + 1, U + 1), dtype=np.int32)
     for v, u, D in _unit_digits(2, U):
         cum[u, v] = D <= M

@@ -24,6 +24,7 @@ import numpy as np
 
 from .characters import (
     _unit_group,
+    _units,
     character_product,
     gauss_sum,
     is_primitive,
@@ -170,8 +171,7 @@ def _double_sum_numerator(w1, w2, c, a=None):
     q1, q2 = len(w1), len(w2)
     if (q1 * c) ** 2 >= 2**63:  # keeps a*j < c^2 and a row's sums in int64
         raise ValueError(f"the double sum needs (q1*c)^2 < 2^63, got q1 = {q1}, c = {c}")
-    if a is None:
-        a = np.flatnonzero(np.gcd(np.arange(c), c) == 1)
+    a = _units(c) if a is None else a
     moment = (np.arange(q1) * w1).sum().item()
     tail = np.concatenate(([0], np.cumsum(w1[:0:-1])))  # tail[k]: w1 summed over the last k n
     step = 1 << 18  # entries per block of j and per (a, j) block: bounds the working set
@@ -378,9 +378,9 @@ def _work_arrays(size):
 
 
 def _f_table(chi1, chi2, c, target_error, units):
-    """f_eval(chi1, chi2, x, c, target_error) for every x in units at once.
+    """f_eval(chi1, chi2, x, c, target_error) for every x in the int64 array units.
 
-    Returns (F, bound) with F[x] the value (None off the units). f_eval's
+    Returns (F, bound), F[x] the value in a complex array (0 off the units). f_eval's
     _f_terms, _folded_sines and per-term arithmetic, so each value is
     bit-identical to it: e(r/c) and the folded sines of pi*r/c' are read from
     residue tables indexed by r = l*x mod c, and the units are taken in row
@@ -399,13 +399,13 @@ def _f_table(chi1, chi2, c, target_error, units):
     rows = max(1, _TABLE_BLOCK // L)
     # the block loop computes in place (out=) in the work arrays
     work = _work_arrays(max(_TABLE_BLOCK, L))
-    F = [None] * c
+    F = np.zeros(c, dtype=complex)
     for start in range(0, len(units), rows):
         block = units[start:start + rows]
         r, k0r, re, im, omt, e_k, inner = (
             w[:len(block) * L].reshape(len(block), L) for w in work
         )
-        np.remainder(np.multiply(l_mod_c, np.array(block)[:, None], out=r), c, out=r)
+        np.remainder(np.multiply(l_mod_c, block[:, None], out=r), c, out=r)
         # 1 - theta = (re_base + emt*2*sin^2) - 1j*(emt*sin(2*ang)), as in f_eval
         np.multiply(emt2, np.take(sin_sq, r, out=re, mode="clip"), out=re)
         np.add(re_base, re, out=re)
@@ -418,9 +418,7 @@ def _f_table(chi1, chi2, c, target_error, units):
         for k0, w_decay in terms:
             np.take(e_ext, np.multiply(r, k0, out=k0r), out=e_k, mode="clip")
             np.add(inner, np.multiply(w_decay, e_k, out=e_k), out=inner)
-        np.multiply(omt, inner, out=inner)
-        for i, x in enumerate(block):
-            F[x] = complex(inner[i].sum())
+        F[block] = np.multiply(omt, inner, out=inner).sum(axis=1)
     return F, tbound
 
 
@@ -434,9 +432,9 @@ def s_analytic_table(chi1, chi2, c, target_error=1e-8):
     and -d; the rows come from the same _analytic_rows.
     """
     pair, _ = check_admissible(chi1, chi2, c=c)
-    units = [x for x in range(1, c) if math.gcd(x, c) == 1]
+    units = _units(c)
     F, fb = _f_table(chi1, chi2, c, target_error / 2, units)
-    return _analytic_rows(pair, c, F, fb, units)
+    return _analytic_rows(pair, c, F.tolist(), fb, units.tolist())
 
 
 def dw_exact(p, k, l):
@@ -575,7 +573,7 @@ def _korobov_table(q):
 
 def ratio_to_bound(s_abs, D, cp):
     """|S| / (D * log^2 c'): the bound ratio of one S(a, c) with D = D(a, c'), the
-    empirical constant of the partial-quotient bound."""
+    empirical constant of the partial-quotient bound; s_abs and D may be arrays."""
     return s_abs / (D * math.log(cp) ** 2)
 
 

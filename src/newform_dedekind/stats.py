@@ -108,42 +108,34 @@ def scan_F(config):
         refs = dedekind.s_double_sum_table(chi1, chi2, c) if config.method == "both" else ()
         for (a, _, val, bound), ref in zip(rows, refs):
             max_dev = max(max_dev, dedekind.check_agreement(val, ref[2], bound, a, c))
-        # D and cf_len of every row's a/c' from one Euclid table
-        partials, n = _euclid_rows(np.array([a for a, *_ in rows]) % cp, cp)
-        moment = 0.0
-        for (a, d, val, bound), D, cf_len in zip(rows, partials.max(1).tolist(), n.tolist()):
-            sabs = abs(val)
-            moment += sabs**2
-            exceeds = sabs > threshold
-            count += exceeds
-            ratio = dedekind.ratio_to_bound(sabs, D, cp)
-            max_ratio = max(max_ratio, ratio)
-            if exceeds or not config.exceedances_only:
-                records.append(
-                    ScanRecord(
-                        c=c,
-                        a=a,
-                        d=d,
-                        D=D,
-                        cf_len=cf_len,
-                        S_re=val.real,
-                        S_im=val.imag,
-                        S_abs=sabs,
-                        bound_ratio=ratio,
-                        exceeds_threshold=exceeds,
-                    )
-                )
-        moments[str(c)] = moment
+        # the rows as columns; D and cf_len of every a/c' from one Euclid table
+        a, d, S, _ = map(np.array, zip(*rows))
+        partials, cf_len = _euclid_rows(a % cp, cp)
+        D = partials.max(1)
+        s_abs = np.hypot(S.real, S.imag)  # bit for bit abs(S), where np.abs is not
+        ratio = dedekind.ratio_to_bound(s_abs, D, cp)
+        exceeds = s_abs > threshold
+        count += int(exceeds.sum())
+        max_ratio = max(max_ratio, ratio.max().item())
+        moments[str(c)] = _sum_of_squares(s_abs.tolist())
+        keep = exceeds if config.exceedances_only else slice(None)
+        columns = (a, d, D, cf_len, S.real, S.imag, s_abs, ratio, exceeds)
+        records += [ScanRecord(c, *row) for row in zip(*(x[keep].tolist() for x in columns))]
     measured = {"count": count, "max_bound_ratio": max_ratio, "second_moment_table": moments}
     if config.method == "both":
         measured["max_method_deviation"] = max_dev
     return records, measured
 
 
+def _sum_of_squares(s_abs):
+    """Sum of |S|^2 from the floats |S|, squared and added in row order."""
+    return sum((x**2 for x in s_abs), 0.0)
+
+
 def second_moment(chi1, chi2, c):
     """Sum of |S(a, c)|^2 over the phi(c) residues coprime to c, by the double sum."""
     rows = dedekind.s_double_sum_table(chi1, chi2, c)
-    return sum((abs(val) ** 2 for _, _, val, _ in rows), 0.0)
+    return _sum_of_squares(abs(val) for _, _, val, _ in rows)
 
 
 def largeval_sweep(chi1, chi2, n, k_range):

@@ -8,6 +8,7 @@ import pytest
 
 from newform_dedekind.characters import (
     _unit_group,
+    _units,
     character_from_index,
     character_product,
     enumerate_characters,
@@ -72,6 +73,15 @@ def test_unit_group_logs_are_pow_consistent():
             powers = np.array([pow(g, t, m) for t in range(s)], dtype=np.int64)
             prod = prod * powers[logs[:, i]] % m
         assert np.array_equal(prod, units), m
+
+
+def test_units_are_the_residues_coprime_to_q_and_fill_no_cache():
+    _unit_group.cache_clear()
+    for q in range(1, 200):
+        units = _units(q)
+        assert units.dtype == np.int64
+        assert units.tolist() == [x for x in range(q) if math.gcd(x, q) == 1]
+    assert _unit_group.cache_info().currsize == 0
 
 
 def test_unit_group_cache_after_korobov_tables_is_small():

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from newform_dedekind import cli, contfrac, dedekind
@@ -151,6 +152,19 @@ def test_hensley_huge_alpha_admits_everything(capsys):
     assert rc == 0
     got = dict(line.split(" = ") for line in out.strip().split("\n"))
     assert got["phi_count"] == "22" and got["g_count"] == "0"
+
+
+def test_hensley_rejects_a_C_it_cannot_hold(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("array built")
+
+    for name in ("zeros", "arange", "empty"):
+        monkeypatch.setattr(np, name, refuse)
+    rc, out, err = run(capsys, ["hensley", "--C", "10000000000", "--alpha", "1"])
+    assert rc == 2
+    assert out == ""
+    assert "validation error: C = 10000000000 needs 13868834542232 bytes" in err
+    assert "Traceback" not in err
 
 
 def test_hensley_alpha_nan_is_rejected_and_inf_admits_everything(capsys):

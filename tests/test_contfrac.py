@@ -337,6 +337,20 @@ def test_quotient_counts_property_matches_per_c_euclid(C, kind, data):
     assert quotient_counts(alpha, C) == reference_counts(tables, alpha, C)
 
 
+def test_quotient_counts_rejects_a_C_it_cannot_hold_before_building_arrays(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("array built")
+
+    for name in ("zeros", "arange", "empty"):
+        monkeypatch.setattr(np, name, refuse)
+    # the cum table and the totient sieve: (U + 1)^2 * 4 + (C + 1) * 8 bytes
+    for C, need in ((10**10, 13868834542232), (2 * 10**7, 3630623752)):
+        with pytest.raises(ValueError, match=f"C = {C} needs {need} bytes"):
+            quotient_counts(1, C)
+    with pytest.raises(AssertionError, match="array built"):  # 1.46 GB fits
+        quotient_counts(1, 10**7)
+
+
 def test_quotient_counts_nan_and_infinite_alpha():
     with pytest.raises(ValueError, match="alpha > 0"):
         quotient_counts(math.nan, 50)

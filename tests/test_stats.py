@@ -8,9 +8,14 @@ from fractions import Fraction
 import pytest
 
 from newform_dedekind import stats
-from newform_dedekind.characters import character_from_index, legendre_character
+from newform_dedekind.characters import _unit_group, character_from_index, legendre_character
 from newform_dedekind.contfrac import expand, max_partial_quotient
-from newform_dedekind.dedekind import s_analytic_table, s_double_sum_exact, s_double_sum_table
+from newform_dedekind.dedekind import (
+    ratio_to_bound,
+    s_analytic_table,
+    s_double_sum_exact,
+    s_double_sum_table,
+)
 from newform_dedekind.stats import (
     CSV_HEADER,
     LargevalRecord,
@@ -368,3 +373,47 @@ def test_scan_D_and_cf_len_match_the_scalar_expansion(pair, method, exceedances_
     for r in records:
         assert r.D == max_partial_quotient(r.a, r.c // 5)
         assert r.cf_len == expand(r.a, r.c // 5).n
+
+
+def test_scan_caches_no_unit_group_but_its_characters():
+    # both tables enumerate the units mod c with the uncached _units
+    _unit_group.cache_clear()
+    for method in ("analytic", "double_sum"):
+        scan_F(small_config(method=method, C_max=300))
+    assert _unit_group.cache_info().currsize == 1  # mod 5, for the characters
+
+
+@pytest.mark.parametrize("pair", [PAIR55, ((5, 1), (5, 3))])
+@pytest.mark.parametrize("method", ["analytic", "double_sum"])
+@pytest.mark.parametrize("exceedances_only", [False, True])
+def test_scan_columns_equal_the_table_rows_bit_for_bit(pair, method, exceedances_only):
+    # the scan reads each c's table rows as columns; every kept field and each
+    # moment must be the row-by-row Python value exactly, with no tolerance
+    config = ScanConfig(pair, 300, 0.05, method=method, exceedances_only=exceedances_only)
+    chi1, chi2 = (character_from_index(q, i) for q, i in pair)
+    records, measured = scan_F(config)
+    threshold = config.alpha * math.log(config.C_max) ** 3
+    by_key = {(r.c, r.a): r for r in records}
+    kept = []
+    for c in range(25, 301, 25):
+        cp = c // 5
+        rows = (s_double_sum_table(chi1, chi2, c) if method == "double_sum"
+                else s_analytic_table(chi1, chi2, c, config.target_error))
+        moment = 0.0
+        for a, d, value, _ in rows:
+            moment += abs(value) ** 2
+            if exceedances_only and not abs(value) > threshold:
+                continue
+            kept.append((c, a))
+            r = by_key[c, a]
+            assert (r.d, r.S_re, r.S_im) == (d, value.real, value.imag)
+            assert r.S_abs == abs(value)
+            assert r.bound_ratio == ratio_to_bound(abs(value), max_partial_quotient(a, cp), cp)
+            assert r.exceeds_threshold == (abs(value) > threshold)
+            assert [type(x) for x in (r.a, r.d, r.D, r.cf_len)] == [int] * 4
+            assert [type(x) for x in (r.S_re, r.S_im, r.S_abs, r.bound_ratio)] == [float] * 4
+            assert type(r.exceeds_threshold) is bool
+        assert measured["second_moment_table"][str(c)] == moment
+        if method == "double_sum":
+            assert moment == second_moment(chi1, chi2, c)
+    assert kept and [(r.c, r.a) for r in records] == kept
