@@ -35,7 +35,6 @@ from .contfrac import (
 from .dedekind import (
     DedekindSumResult,
     GammaMatrix,
-    b1,
     beta_constant,
     complete_matrix,
     dw_exact,

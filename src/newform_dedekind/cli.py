@@ -8,6 +8,7 @@ Logs (including the resolved invocation) go to stderr; data to stdout or
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
 import math
@@ -222,25 +223,24 @@ _CF_SAMPLE = 100  # pairs on which the cf suite checks the scalar functions
 def _suite_cf(args):
     """Every unit a mod c, c <= cmax, from one Euclid pass per block of
     moduli: the odd expansion's convergent is a/c, its matrix is (a b; c d)
-    with det 1, its reversal is d/c with a*d = 1 mod c, and
-    |D(a, c) - D(d, c)| <= 1. A seeded sample of pairs checks the public
-    scalar functions against the table. Failures are listed by c, then by
-    check and a, then the sample's."""
+    with det 1, its reversal is d/c with a*d = 1 mod c, the table has a row
+    for d, and |D(a, c) - D(d, c)| <= 1. A seeded sample of pairs checks the
+    public scalar functions against the table. Failures are listed by c,
+    then by check and a, then the sample's."""
     failures = []
     cmax = args.cmax if args.cmax is not None else 500
     rng = random.Random(args.seed)
-    sample = {}
-    for _ in range(_CF_SAMPLE):
+    sample = []  # (c, draw, a), by c and then in the order drawn
+    for j in range(_CF_SAMPLE):
         c = rng.randint(2, cmax)
-        sample.setdefault(c, []).append(_random_unit(rng, c))
-    for a, c in contfrac._unit_blocks(2, cmax):
+        bisect.insort(sample, (c, j, _random_unit(rng, c)))
+    for a, c, row in contfrac._unit_blocks(2, cmax):
         partials, n = contfrac._euclid_rows(a, c)
         digits = partials.T  # (digit, row): digit k of every row is contiguous
         D = digits.max(axis=0)
         # [..., x] = [..., x - 1, 1] makes every digit count odd; an odd height
         # then leaves every column an even number of zeros
-        W = digits.shape[0]
-        odd = np.concatenate([digits, np.zeros((1 + W % 2, n.size), dtype=digits.dtype)])
+        odd = np.concatenate([digits, np.zeros((1 + len(digits) % 2, n.size), digits.dtype)])
         even = np.nonzero(n % 2 == 0)[0]
         odd[n[even] - 1, even] -= 1
         odd[n[even], even] = 1
@@ -248,29 +248,30 @@ def _suite_cf(args):
         p, q, b, d_col = contfrac._convergents(odd)
         d, den, _, _ = contfrac._convergents(odd, reverse=True)
         ok_rev = (den == c) & (0 < d) & (d < c) & (a * d % c == 1)
-        # rows run by c then a, so (c, a) -> row is a search on this key
-        key = c * (cmax + 1) + a
-        delta = D - D[np.searchsorted(key, c * (cmax + 1) + np.where(ok_rev, d, a))]
+        partner = row[c - c[0], np.where(ok_rev, d, a)]  # of a itself if the reversal failed
+        delta = D - D[np.where(partner >= 0, partner, np.arange(a.size))]
         checks = (
             ("convergent is not a/c", (p == a) & (q == c)),
             ("matrix is not (a b; c d) with det 1",
              (p * d_col - b * q == 1) & (d_col == d) & (b * c == a * d - 1)),
             ("reversal is not d/c with a*d = 1 mod c", ok_rev),
+            ("the inverse d has no row in the table", partner >= 0),
             ("|D(a, c) - D(d, c)| > 1", np.abs(delta) <= 1),
         )
-        found = []  # (c, check, a or sample position, line)
+        found = []  # (c, check, a or sample draw, line)
         for k, (what, ok) in enumerate(checks):
             found.extend((c[i], k, a[i], f"cf: {what} at ({a[i]}, {c[i]})")
                          for i in np.nonzero(~ok)[0])
-        for cc in range(int(c[0]), int(c[-1]) + 1):
-            for j, x in enumerate(sample.get(cc, ())):
-                i = int(np.searchsorted(key, cc * (cmax + 1) + x))
-                if i == key.size or key[i] != cc * (cmax + 1) + x:
-                    lines = [f"cf: the table lists {x} as no unit mod {cc}"]
-                else:
-                    lines = _cf_scalar_failures(x, cc, odd[:n[i], i][::-1], d[i], delta[i],
-                                                ((x, int(b[i])), (cc, int(d_col[i]))))
-                found.extend((cc, len(checks), j, line) for line in lines)
+        here = sample[:bisect.bisect_right(sample, (int(c[-1]) + 1,))]
+        del sample[:len(here)]
+        at = row[[cc - c[0] for cc, _, _ in here], [x for *_, x in here]]  # one gather
+        for (cc, j, x), i in zip(here, at.tolist()):
+            if i < 0:
+                lines = [f"cf: the table lists {x} as no unit mod {cc}"]
+            else:
+                lines = _cf_scalar_failures(x, cc, odd[:n[i], i][::-1], d[i], delta[i],
+                                            ((x, int(b[i])), (cc, int(d_col[i]))))
+            found.extend((cc, len(checks), j, line) for line in lines)
         failures.extend(line for *_, line in sorted(found, key=lambda f: f[:3]))
     return failures
 
@@ -286,7 +287,7 @@ def _cf_scalar_failures(a, c, rev, d, delta, matrix):
                        "disagrees with the table")
         if contfrac.digit_symmetry_delta(a, c) != delta:
             out.append(f"cf: digit_symmetry_delta({a}, {c}) disagrees with the table")
-        odd_cf = contfrac.to_parity_form(contfrac.expand(a, c), want_odd_n=True)
+        odd_cf = contfrac.ContinuedFraction.from_terms(0, r.partials[::-1])  # a/c, odd form
         if contfrac.matrix_factorization(odd_cf) != matrix:
             out.append(f"cf: matrix_factorization of {odd_cf} is not {matrix}")
     except CertificationError as err:

@@ -7,6 +7,7 @@ inverse-denominator reversal) and the density counts Phi/G with the
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +46,17 @@ class ContinuedFraction:
 
     @classmethod
     def from_terms(cls, a0, partials):
-        partials = tuple(int(x) for x in partials)
-        if any(x < 1 for x in partials):
+        try:
+            a0, partials = operator.index(a0), tuple(map(operator.index, partials))
+        except TypeError:
+            bad = next(x for x in (a0, *partials) if not hasattr(x, "__index__"))
+            raise ValueError(f"term {bad!r} is not an integer") from None
+        if partials and min(partials) < 1:
             raise ValueError("partial quotients must be >= 1")
-        a0 = int(a0)
-        if partials:
-            num, den = partials[-1], 1
-            for x in reversed(partials[:-1]):
-                num, den = x * num + den, num
-            p, q = a0 * num + den, num
-        else:
-            p, q = a0, 1
+        num, den = 1, 0  # the empty tail, 1/0
+        for x in reversed(partials):
+            num, den = x * num + den, num
+        p, q = a0 * num + den, num
         if math.gcd(p, q) != 1 or q < 1:
             raise CertificationError(f"terms {a0}, {partials} gave {p}/{q}, not reduced")
         return cls(a0, partials, p, q)
@@ -232,26 +233,45 @@ _PAIR_BLOCK = 1 << 12  # numerators per _unit_blocks block: 15% faster than 2**1
 def _unit_blocks(lo, hi):
     """The pairs (a, c) with lo <= c <= hi, 0 < a < c and gcd(a, c) = 1,
     ordered by c then a, as int64 arrays (a, c) per block of consecutive
-    moduli. A block spans at most _PAIR_BLOCK numerators (units or not), or
-    a single modulus."""
+    moduli, with the row map row[m - c[0], x]: the row of (x, m), or -1 off
+    the units. A block spans at most _PAIR_BLOCK numerators (units or not),
+    or a single modulus. Each m strikes the multiples of its prime factors."""
     start = max(lo, 2)
+    if start > hi:
+        return
+    spf = np.arange(hi + 1, dtype=np.int32)  # smallest prime factors
+    for p in range(math.isqrt(hi), 1, -1):  # the least divisor > 1 writes last
+        spf[p * p::p] = p
+    # row m - lo of factors: the distinct prime factors of m, then zeros
+    lo, factors = start, np.zeros((hi + 1 - start, int(hi).bit_length()), dtype=np.int32)
+    rem, last = np.arange(start, hi + 1), 1
+    for k in range(factors.shape[1]):  # m <= hi has fewer prime factors than bits
+        p = spf[rem]
+        factors[:, k] = np.where((p != last) & (p > 1), p, 0)
+        rem, last = rem // p, p
     while start <= hi:
-        stop, size = start + 1, start - 1
-        while stop <= hi and size + stop - 1 <= _PAIR_BLOCK:
-            size += stop - 1
-            stop += 1
-        moduli = np.arange(start, stop, dtype=np.int64)
-        c = np.repeat(moduli, moduli - 1)
-        a = np.arange(1, size + 1) - np.repeat(np.cumsum(moduli - 1) - (moduli - 1), moduli - 1)
-        unit = np.gcd(a, c) == 1
-        yield a[unit], c[unit]
+        # (m - 1)(m - 2)/2 numerators precede m: fit start .. stop - 1 in a block
+        room = (start - 1) * (start - 2) + 2 * _PAIR_BLOCK
+        stop = min(hi + 1, max(start + 1, (3 + math.isqrt(4 * room + 1)) // 2))
+        moduli, width = np.arange(start, stop, dtype=np.int64), stop - 1
+        # strike x = 0, q, ..., m - q from row j for each prime factor q of m
+        j, k = np.nonzero(factors[start - lo:stop - lo])
+        q = factors[j + start - lo, k]
+        n = moduli[j] // q
+        unit = np.arange(width) < moduli[:, None]
+        unit.ravel()[np.arange(n.sum()) * np.repeat(q, n)
+                     + np.repeat(j * width - (np.cumsum(n) - n) * q, n)] = False
+        flat = np.flatnonzero(unit)
+        row = np.full(unit.size, -1)
+        row[flat] = np.arange(flat.size)
+        yield flat % width, moduli[flat // width], row.reshape(unit.shape)
         start = stop
 
 
 def _unit_digits(lo, hi):
     """_unit_blocks(lo, hi) with D, the largest partial quotient of each a/c,
     as a running max over the Euclid steps."""
-    for a, c in _unit_blocks(lo, hi):
+    for a, c, _ in _unit_blocks(lo, hi):
         D = np.zeros_like(a)
         for live, q, _ in _euclid_steps(a, c):
             np.maximum.at(D, live, q)

@@ -44,7 +44,6 @@ from .errors import (
 __all__ = [
     "GammaMatrix",
     "DedekindSumResult",
-    "b1",
     "complete_matrix",
     "check_admissible",
     "check_agreement",
@@ -84,17 +83,6 @@ class DedekindSumResult:
     truncation_bound: float  # 0 for the double sum
     d_used: int  # the completed inverse of a mod c
     max_partial_quotient: int  # D(a, c')
-
-
-def b1(x):
-    """First Bernoulli function: x - floor(x) - 1/2, and 0 at integers.
-
-    Integer detection: within 1e-12 of an integer after range reduction.
-    """
-    y = x - math.floor(x)
-    if y <= 1e-12 or 1 - y <= 1e-12:
-        return 0.0
-    return y - 0.5
 
 
 def complete_matrix(a, c, q1, q2):

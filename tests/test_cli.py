@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -226,6 +227,36 @@ def test_verify_cf_fails_on_a_perturbed_reversal(capsys, monkeypatch):
     assert rc == 1
     assert "FAIL cf: reversal is not d/c with a*d = 1 mod c at (3, 7)" in err.splitlines()
     assert out.startswith("verify cf: ") and out.endswith(" failure(s)\n")
+
+
+def test_verify_cf_fails_on_a_unit_missing_from_the_table(capsys, monkeypatch):
+    # the second pair the suite samples at seed 0, with x*d = 1 mod c and d != x
+    rng = random.Random(0)
+    for _ in range(2):
+        c = rng.randint(2, 40)
+        x = cli._random_unit(rng, c)
+    d = pow(x, -1, c)
+    assert (x, d, c) == (9, 25, 28)
+    real = contfrac._unit_blocks
+
+    def dropped(lo, hi):  # the blocks without the row of (x, c), their row maps to match
+        for a, cc, row in real(lo, hi):
+            i = np.flatnonzero((a == x) & (cc == c))
+            if i.size:
+                a, cc, row = np.delete(a, i), np.delete(cc, i), row.copy()
+                row[row > i] -= 1
+                row[c - cc[0], x] = -1
+            yield a, cc, row
+
+    monkeypatch.setattr(contfrac, "_unit_blocks", dropped)
+    rc, out, err = run(capsys, ["verify", "--suite", "cf", "--cmax", "40"])
+    assert rc == 1
+    # the partner d finds no row, in place of reading a neighbour's D
+    assert [line for line in err.splitlines() if line.startswith("FAIL ")] == [
+        f"FAIL cf: the inverse d has no row in the table at ({d}, {c})",
+        f"FAIL cf: the table lists {x} as no unit mod {c}",
+    ]
+    assert out == "verify cf: 2 failure(s)\n"
 
 
 def test_verify_korobov_fails_on_a_perturbed_kernel(capsys, monkeypatch):

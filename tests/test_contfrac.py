@@ -1,10 +1,11 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newform_dedekind import contfrac
@@ -70,6 +71,13 @@ def test_from_terms_rejects_bad_partials():
         ContinuedFraction.from_terms(0, (2, 0))
     with pytest.raises(ValueError):
         ContinuedFraction.from_terms(0, (-1,))
+    # a term that is not integral is refused, never truncated
+    for a0, partials, bad in ((0, (2.5,), 2.5), (0, (3, 1.9), 1.9), (0.7, (3,), 0.7),
+                              (np.float64(1.0), (2,), np.float64(1.0)), (0, ("2",), "2")):
+        with pytest.raises(ValueError, match=re.escape(f"term {bad!r} is not an integer")):
+            ContinuedFraction.from_terms(a0, partials)
+    # numpy integers are integers
+    assert ContinuedFraction.from_terms(np.int64(1), np.array([2, 3])).terms == (1, 2, 3)
 
 
 def test_parity_form_examples():
@@ -235,17 +243,35 @@ def test_euclid_rows_on_random_pairs_are_the_expansions():
         contfrac._euclid_rows(np.array([3]), np.array([3]))
 
 
-def test_unit_blocks_list_every_unit_pair_in_order():
-    for lo, hi in ((2, 2), (1, 60), (90, 400)):
-        blocks = list(contfrac._unit_blocks(lo, hi))
-        got = [(int(x), int(y)) for a, c in blocks for x, y in zip(a, c)]
-        want = [(x, y) for y in range(max(lo, 2), hi + 1) for x in range(1, y)
-                if math.gcd(x, y) == 1]
-        assert got == want
-        assert all(a.size <= contfrac._PAIR_BLOCK for a, _ in blocks)
-    # a modulus with more numerators than a block holds is a block of its own
-    (a, c), = contfrac._unit_blocks(5000, 5000)
-    assert a.size == 2000 and (c == 5000).all()
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(st.integers(1, 3000), st.integers(1, 3000))
+@example(2, 2)
+@example(1, 60)
+@example(4096, 4096)  # 2**12, a single modulus with more numerators than a block
+@example(4099, 4099)  # a prime above _PAIR_BLOCK
+@example(2200, 2209)  # 2209 = 47**2 and 2206 = 2*1103 with 1103 > sqrt(2209)
+def test_unit_blocks_list_every_unit_pair_in_order(lo, hi):
+    # the units against the gcd definition, the blocks' bounds and their row maps
+    lo, hi = sorted((lo, hi))
+    seen = max(lo, 2)
+    for a, c, row in contfrac._unit_blocks(lo, hi):
+        moduli = np.arange(c[0], c[-1] + 1)
+        assert moduli[0] == seen
+        seen = moduli[-1] + 1
+        size = int((moduli - 1).sum())
+        # a block is the most consecutive moduli that fit, or one modulus
+        assert size <= contfrac._PAIR_BLOCK or moduli.size == 1
+        assert seen > hi or size + seen - 1 > contfrac._PAIR_BLOCK
+        xs = np.arange(row.shape[1])
+        unit = (xs < moduli[:, None]) & (np.gcd(xs, moduli[:, None]) == 1)
+        assert row.shape == (moduli.size, moduli[-1])
+        assert np.array_equal(row >= 0, unit)
+        assert np.array_equal(row[unit], np.arange(a.size))
+        rows, numerators = np.nonzero(unit)
+        assert np.array_equal(a, numerators) and np.array_equal(c, moduli[rows])
+        assert a.dtype == c.dtype == np.int64
+    assert seen == max(hi + 1, 2)
+    assert list(contfrac._unit_blocks(hi + 1, hi)) == list(contfrac._unit_blocks(1, 1)) == []
 
 
 def test_convergents_row_by_row():
@@ -257,7 +283,7 @@ def test_convergents_row_by_row():
     @settings(derandomize=True, deadline=None, database=None, max_examples=25)
     @given(st.integers(2, 600), st.integers(0, 600))
     def check(lo, span):
-        a, c = next(contfrac._unit_blocks(lo, min(600, lo + span)))
+        a, c, _ = next(contfrac._unit_blocks(lo, min(600, lo + span)))
         W = contfrac._euclid_rows(a, c)[0].shape[1]
         odd = [to_parity_form(expand(x, y), want_odd_n=True).partials
                for x, y in zip(a.tolist(), c.tolist())]

@@ -28,7 +28,6 @@ from newform_dedekind.characters import (
 from newform_dedekind.dedekind import (
     DedekindSumResult,
     GammaMatrix,
-    b1,
     beta_constant,
     complete_matrix,
     dw_exact,
@@ -78,16 +77,17 @@ def brute_f(chi1, chi2, z, K):
 
 
 def test_b1_values():
-    assert b1(0) == 0.0
-    assert b1(7) == 0.0
-    assert b1(0.25) == -0.25
-    assert b1(-0.25) == 0.25
-    assert b1(3 + 1e-13) == 0.0
+    # B1 itself, the sawtooth the exact references below are built on
+    assert exact_b1(Fraction(0)) == 0
+    assert exact_b1(Fraction(7)) == 0
+    assert exact_b1(Fraction(1, 4)) == Fraction(-1, 4)
+    assert exact_b1(Fraction(-1, 4)) == Fraction(1, 4)
+    assert exact_b1(Fraction(3)) == 0
     rng = random.Random(1)
     for _ in range(200):
-        x = rng.uniform(0.01, 0.99)
-        assert abs(b1(-x) + b1(x)) < 1e-12
-        assert abs(b1(x + 5) - b1(x)) < 1e-12
+        x = Fraction(rng.randrange(1, 99), 100)
+        assert exact_b1(-x) == -exact_b1(x)
+        assert exact_b1(x + 5) == exact_b1(x)
 
 
 def test_gamma_matrix_determinant_enforced():
