@@ -137,12 +137,31 @@ def check_admissible(chi1, chi2, a=1, c=None):
     return _pair(chi1, chi2), None if c is None else complete_matrix(a, c, *moduli)
 
 
-def _check_trivial_bound(value, a, c, q1, bound):
-    """|S(a, c)| <= q1*c (+ the truncation bound), or CertificationError."""
-    if not abs(value) <= q1 * c + bound + 1e-9:
+def _cmul(x, y):
+    """x * y rounded as Python's complex product, from float products in its order:
+    numpy's complex multiply may fuse them, which moves the last digit of emitted S."""
+    out = np.empty(np.broadcast(x, y).shape, complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _inverse(a, c):
+    """a^-1 mod c for the int64 array a by pow, as fast as a vectorized Euclid to c ~ 1500."""
+    return np.array([pow(x, -1, c) for x in a.tolist()], dtype=np.int64)
+
+
+def _rows(pair, c, a, d, S, bound):
+    """The columns (a, d, S, bound) once every |S| <= q1*c + bound, or
+    CertificationError naming the first row past it."""
+    q1c = pair.chi1.modulus * c
+    s_abs = np.hypot(S.real, S.imag)  # bit for bit abs(S), where np.abs is not
+    bad = np.flatnonzero(~(s_abs <= q1c + bound + 1e-9))
+    if bad.size:
         raise CertificationError(
-            f"|S({a}, {c})| = {abs(value):.6g} exceeds the trivial bound q1*c = {q1 * c}"
+            f"|S({a[bad[0]]}, {c})| = {s_abs[bad[0]]:.6g} exceeds the trivial bound q1*c = {q1c}"
         )
+    return a, d, S, bound
 
 
 def _double_sum_numerator(w1, w2, c, a=None):
@@ -177,22 +196,18 @@ def _double_sum_numerator(w1, w2, c, a=None):
 
 
 def _double_sum_rows(pair, c, a=None):
-    """[(a, d, S(a, c), 0.0)] from one kernel call on the pair's complex tables, for
-    the int64 array a or (None) every unit mod c; each S is held to the trivial bound."""
-    q1 = pair.chi1.modulus
+    """_rows of one kernel call on the pair's tables, for the int64 array a (None: every
+    unit mod c), bound 0; S is divided in Python, as numpy's complex / rounds otherwise."""
     a, nums = _double_sum_numerator(np.conj(pair.chi1.values), np.conj(pair.chi2.values), c, a)
-    rows = [(x, pow(x, -1, c), complex(num) / (4 * q1 * c * c), 0.0)
-            for x, num in zip(a.tolist(), nums)]
-    for x, _, value, _ in rows:
-        _check_trivial_bound(value, x, c, q1, 0.0)
-    return rows
+    S = np.array([complex(num) / (4 * pair.chi1.modulus * c * c) for num in nums])
+    return _rows(pair, c, a, _inverse(a, c), S, np.zeros(len(a)))
 
 
 def s_double_sum(chi1, chi2, a, c):
     """S(a, c) by the defining double sum, O(c) work in double precision; every B1
     argument is an integer remainder, so integer points are decided exactly."""
     pair, _ = check_admissible(chi1, chi2, a, c)
-    (a, d, value, _), = _double_sum_rows(pair, c, np.array([a % c]))
+    a, d, value, _ = (x.item() for x in _double_sum_rows(pair, c, np.array([a % c])))
     D = max_partial_quotient(a, c // chi2.modulus)
     return DedekindSumResult(value, "double_sum", 0.0, d, D)
 
@@ -210,8 +225,8 @@ def s_double_sum_exact(chi1, chi2, a, c):
 
 def s_double_sum_table(chi1, chi2, c):
     """s_double_sum for every unit a mod c from one kernel call, O(c * phi(c)) work:
-    [(a, d, value, 0.0)] for the units a = 1..c-1 in order, each row equal to
-    s_double_sum(chi1, chi2, a, c)'s a, d_used and value."""
+    the columns (a, d, S, bound = 0) over the units a = 1..c-1 in order, each row
+    equal to s_double_sum(chi1, chi2, a, c)'s a, d_used and value."""
     return _double_sum_rows(check_admissible(chi1, chi2, c=c)[0], c)
 
 
@@ -258,13 +273,6 @@ def _folded_sines(r, cp):
     return np.sin(ang) ** 2, np.sin(2 * ang)
 
 
-def _check_tail_guard(one_minus_theta, c, out=None):
-    """The tail bound needs |1 - theta| >= 1/2 for every l >= c'."""
-    low = np.abs(one_minus_theta, out=out).min()
-    if not low >= 0.5 - 1e-9:
-        raise CertificationError(f"|1 - theta| = {low:.6g} < 1/2 in the tail of f, c = {c}")
-
-
 def f_eval(chi1, chi2, numerator, c, target_error):
     """The period-like function f at z = (numerator + i)/c, with certified tail.
 
@@ -283,8 +291,6 @@ def f_eval(chi1, chi2, numerator, c, target_error):
     # Re = -expm1(-t) + exp(-t)*2*sin^2(pi*x), Im = -exp(-t)*sin(2*pi*x)
     sin_sq, sin_2ang = _folded_sines(l * (numerator % cp), cp)
     one_minus_theta = (re_base + emt * 2 * sin_sq) - 1j * (emt * sin_2ang)
-    # for l >= c' the tail analysis needs |theta| < 1/2, so |1 - theta| >= 1/2
-    _check_tail_guard(one_minus_theta[l >= cp], c)
     coeff = chi1_l / (l * one_minus_theta)
     num_c = numerator % c
     inner = np.zeros(L, dtype=complex)
@@ -308,24 +314,15 @@ def phi_eval(chi1, chi2, gamma, target_error):
     return fa - psi * fd, ba + abs(psi) * bd
 
 
-def _analytic_rows(pair, c, F, fb, units):
-    """[(a, d, S(a, c), bound)] for each a in units, the twin of _double_sum_rows.
-
-    F[x] is f at numerator x with tail bound fb (a list indexed mod c, or a dict
-    holding a and -d). S = pair.tau/(pi*i) * (F[a] - psi * F[-d]) with
-    d = a^-1 mod c and psi = chi1(d) * conj(chi2)(d), bounded by |tau|/pi *
-    (1 + |psi|) * fb; each S is held to the trivial bound."""
-    q1 = pair.chi1.modulus
-    scale, bound_scale = pair.tau / (math.pi * 1j), abs(pair.tau) / math.pi
-    rows = []
-    for a in units:
-        d = pow(a, -1, c)
-        psi = pair.chi1(d) * pair.chi2(d).conjugate()
-        value = scale * (F[a] - psi * F[-d])
-        bound = bound_scale * (fb + abs(psi) * fb)
-        _check_trivial_bound(value, a, c, q1, bound)
-        rows.append((a, d, value, bound))
-    return rows
+def _analytic_rows(pair, c, a, d, fa, fd, fb):
+    """_rows of S = pair.tau/(pi*i) * (fa - psi * fd) from f at a and at -d (columns,
+    tail bound fb each), psi = chi1(d) * conj(chi2)(d), bounded by |tau|/pi *
+    (1 + |psi|) * fb; every product rounded as Python's by _cmul."""
+    psi = _cmul(pair.chi1.values[d % pair.chi1.modulus],
+                np.conj(pair.chi2.values[d % pair.chi2.modulus]))
+    S = _cmul(pair.tau / (math.pi * 1j), fa - _cmul(psi, fd))
+    bound = abs(pair.tau) / math.pi * (fb + np.hypot(psi.real, psi.imag) * fb)
+    return _rows(pair, c, a, d, S, bound)
 
 
 def s_analytic(chi1, chi2, a, c, target_error=1e-8):
@@ -337,10 +334,10 @@ def s_analytic(chi1, chi2, a, c, target_error=1e-8):
     route; sweeps over every a mod c use s_analytic_table.
     """
     pair, gamma = check_admissible(chi1, chi2, a, c)
-    a %= c
-    fa, fb = f_eval(chi1, chi2, a, c, target_error / 2)
+    fa, fb = f_eval(chi1, chi2, a, c, target_error / 2)  # f_eval reads a mod c alone
     fd, _ = f_eval(chi1, chi2, -gamma.d, c, target_error / 2)
-    (_, d, value, bound), = _analytic_rows(pair, c, {a: fa, -gamma.d: fd}, fb, [a])
+    cols = _analytic_rows(pair, c, *map(np.array, ([a % c], [gamma.d], [fa], [fd])), fb)
+    _, d, value, bound = (x.item() for x in cols)
     D = max_partial_quotient(a, c // chi2.modulus)
     return DedekindSumResult(value, "analytic", bound, d, D)
 
@@ -375,12 +372,11 @@ def _f_table(chi1, chi2, c, target_error, units):
     blocks of at most _TABLE_BLOCK terms, in place in this thread's work arrays.
     """
     q2 = chi2.modulus
-    cp = c // q2
     L, tbound, l, emt, re_base, chi1_l, terms = _f_terms(chi1, chi2, c, target_error)
     terms = list(terms)  # every row block reads every term
     emt2 = emt * 2
     # l*x mod c' = (l*x mod c) mod c', so the sine tables have length c too
-    sin_sq, sin_2ang = _folded_sines(np.arange(c), cp)
+    sin_sq, sin_2ang = _folded_sines(np.arange(c), c // q2)
     # e(r/c) for 0 <= r < q2*c, so k0*(l*x mod c) needs no further reduction
     e_ext = np.tile(np.exp(2j * np.pi * np.arange(c) / c), q2)
     l_mod_c = l % c
@@ -399,7 +395,6 @@ def _f_table(chi1, chi2, c, target_error, units):
         np.add(re_base, re, out=re)
         np.multiply(emt, np.take(sin_2ang, r, out=im, mode="clip"), out=im)
         np.subtract(re, np.multiply(1j, im, out=omt), out=omt)
-        _check_tail_guard(omt[:, cp - 1:], c, out=re[:, cp - 1:])
         # coeff = chi1(l) / (l * (1 - theta))
         np.divide(chi1_l, np.multiply(l, omt, out=omt), out=omt)
         inner.fill(0)
@@ -413,16 +408,17 @@ def _f_table(chi1, chi2, c, target_error, units):
 def s_analytic_table(chi1, chi2, c, target_error=1e-8):
     """S(a, c) by the analytic route for every unit a mod c, from one f table.
 
-    Returns [(a, d, value, truncation_bound)] for the units a = 1..c-1 in
-    order; each row equals s_analytic(chi1, chi2, a, c, target_error)'s a,
+    Returns the columns (a, d, S, truncation_bound) over the units a = 1..c-1
+    in order; each row equals s_analytic(chi1, chi2, a, c, target_error)'s a,
     d_used, value and truncation_bound exactly. f is tabulated once at every
     unit x (with s_analytic's target_error/2) and each value serves both a
     and -d; the rows come from the same _analytic_rows.
     """
     pair, _ = check_admissible(chi1, chi2, c=c)
-    units = _units(c)
-    F, fb = _f_table(chi1, chi2, c, target_error / 2, units)
-    return _analytic_rows(pair, c, F.tolist(), fb, units.tolist())
+    a = _units(c)
+    d = _inverse(a, c)
+    F, fb = _f_table(chi1, chi2, c, target_error / 2, a)
+    return _analytic_rows(pair, c, a, d, F[a], F[-d], fb)
 
 
 def dw_exact(p, k, l):
@@ -566,9 +562,13 @@ def ratio_to_bound(s_abs, D, cp):
 
 
 def check_agreement(analytic, double_sum, bound, a, c):
-    """|analytic - double_sum| at (a, c); CertificationError if it exceeds
-    1e-6 (for rounding) + bound (the analytic truncation bound)."""
-    dev = abs(analytic - double_sum)
-    if not dev <= 1e-6 + bound:
-        raise CertificationError(f"method disagreement {dev:.3g} at (a={a}, c={c})")
-    return dev
+    """max |analytic - double_sum| over the rows (a, c), scalars or columns;
+    CertificationError at the first row past 1e-6 (for rounding) + bound (the
+    analytic truncation bound)."""
+    diff = np.subtract(analytic, double_sum)
+    dev, a = np.atleast_1d(np.hypot(diff.real, diff.imag), a)  # hypot: bit for bit abs
+    bad = np.flatnonzero(~(dev <= 1e-6 + bound))
+    if bad.size:
+        raise CertificationError(
+            f"method disagreement {dev[bad[0]]:.3g} at (a={a[bad[0]]}, c={c})")
+    return dev.max().item()

@@ -103,13 +103,13 @@ def scan_F(config):
     records, count, max_ratio, moments, max_dev = [], 0, 0.0, {}, 0.0
     for c in range(q1q2, config.C_max + 1, q1q2):
         cp = c // chi2.modulus
-        rows = (dedekind.s_double_sum_table(chi1, chi2, c) if config.method == "double_sum"
-                else dedekind.s_analytic_table(chi1, chi2, c, config.target_error))
-        refs = dedekind.s_double_sum_table(chi1, chi2, c) if config.method == "both" else ()
-        for (a, _, val, bound), ref in zip(rows, refs):
-            max_dev = max(max_dev, dedekind.check_agreement(val, ref[2], bound, a, c))
-        # the rows as columns; D and cf_len of every a/c' from one Euclid table
-        a, d, S, _ = map(np.array, zip(*rows))
+        a, d, S, bound = (dedekind.s_double_sum_table(chi1, chi2, c)
+                          if config.method == "double_sum"
+                          else dedekind.s_analytic_table(chi1, chi2, c, config.target_error))
+        if config.method == "both":
+            ref = dedekind.s_double_sum_table(chi1, chi2, c)[2]
+            max_dev = max(max_dev, dedekind.check_agreement(S, ref, bound, a, c))
+        # D and cf_len of every a/c' from one Euclid table
         partials, cf_len = _euclid_rows(a % cp, cp)
         D = partials.max(1)
         s_abs = np.hypot(S.real, S.imag)  # bit for bit abs(S), where np.abs is not
@@ -134,8 +134,8 @@ def _sum_of_squares(s_abs):
 
 def second_moment(chi1, chi2, c):
     """Sum of |S(a, c)|^2 over the phi(c) residues coprime to c, by the double sum."""
-    rows = dedekind.s_double_sum_table(chi1, chi2, c)
-    return _sum_of_squares(abs(val) for _, _, val, _ in rows)
+    S = dedekind.s_double_sum_table(chi1, chi2, c)[2]
+    return _sum_of_squares(np.hypot(S.real, S.imag).tolist())
 
 
 def largeval_sweep(chi1, chi2, n, k_range):
@@ -161,7 +161,7 @@ def largeval_sweep(chi1, chi2, n, k_range):
                 LargevalRecord(k, c, cp, a, 0, 0, nan, nan, nan, nan, nan, nan, True)
             )
             continue
-        (_, d, value, _), = dedekind._double_sum_rows(pair, c, np.array([a % c]))
+        _, d, value, _ = (x.item() for x in dedekind._double_sum_rows(pair, c, np.array([a % c])))
         if (1 - d) % cp:
             raise CertificationError(f"d = {d} is not 1 mod c' = {cp} at (a={a}, c={c})")
         m = (1 - d) // cp

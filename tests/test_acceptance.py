@@ -199,8 +199,8 @@ def test_c08_second_moment_exponent_window():
     moments, analytic, exact = {}, {}, {}
     for c in scales:
         moments[c] = second_moment(LEG5, LEG5, c)
-        rows = s_analytic_table(LEG5, LEG5, c, 1e-6)
-        analytic[c] = sum((abs(val) ** 2 for _, _, val, _ in rows), 0.0)
+        S = s_analytic_table(LEG5, LEG5, c, 1e-6)[2]
+        analytic[c] = sum((abs(val) ** 2 for val in S.tolist()), 0.0)
         exact[c] = sum(
             (
                 abs(s_double_sum_exact(LEG5, LEG5, a, c)) ** 2

@@ -394,7 +394,8 @@ def test_scan_both_disagreement_exits_one(capsys, monkeypatch):
     real = dedekind.s_double_sum_table
 
     def perturbed(*args):
-        return [(a, d, value + 1e-3, bound) for a, d, value, bound in real(*args)]
+        a, d, S, bound = real(*args)
+        return a, d, S + 1e-3, bound
 
     monkeypatch.setattr(dedekind, "s_double_sum_table", perturbed)
     rc, _, err = run(capsys, ["scan", *PAIR, "--C", "50", "--alpha", "1", "--method", "both"])

@@ -61,6 +61,11 @@ ODD4 = character_from_index(4, 1)
 ORDER6 = character_from_index(7, 1)
 
 
+def rows_of(columns):
+    """A table's columns (a, d, S, bound) as rows of Python numbers."""
+    return list(zip(*(col.tolist() for col in columns)))
+
+
 def brute_f(chi1, chi2, z, K):
     total = 0j
     for l in range(1, K + 1):
@@ -415,7 +420,7 @@ SMALL_PAIRS = _admissible_pairs((3, 4, 5, 7, 8, 11, 12, 13))
 def test_double_sum_table_rows_equal_s_double_sum(pair, k):
     chi1, chi2 = pair
     c = chi1.modulus * chi2.modulus * k
-    rows = s_double_sum_table(chi1, chi2, c)
+    rows = rows_of(s_double_sum_table(chi1, chi2, c))
     assert [row[0] for row in rows] == [a for a in range(1, c) if math.gcd(a, c) == 1]
     for a, d, value, bound in rows:
         ref = s_double_sum(chi1, chi2, a, c)
@@ -432,8 +437,9 @@ def test_symmetry_orbit_identities(pair, data):
     q1q2 = chi1.modulus * chi2.modulus
     c = q1q2 * data.draw(st.integers(1, max(1, 300 // q1q2)))
     real = all(np.all(chi.values.imag == 0) for chi in pair)
-    floats = {a: (d, value) for a, d, value, _ in s_double_sum_table(chi1, chi2, c)}
-    analytic = {a: (value, bound) for a, _, value, bound in s_analytic_table(chi1, chi2, c)}
+    floats = {a: (d, value) for a, d, value, _ in rows_of(s_double_sum_table(chi1, chi2, c))}
+    analytic = {a: (value, bound)
+                for a, _, value, bound in rows_of(s_analytic_table(chi1, chi2, c))}
     exact = {a: s_double_sum_exact(chi1, chi2, a, c) for a in floats} if real else {}
     for a, (d, value) in floats.items():
         psi = chi1(d) * chi2(d).conjugate()
@@ -568,7 +574,7 @@ TABLE_CASES = [
 @pytest.mark.parametrize("eps", [1e-6, 1e-10])
 def test_analytic_table_rows_equal_s_analytic(chi1, chi2, cs, eps):
     for c in cs:
-        rows = s_analytic_table(chi1, chi2, c, eps)
+        rows = rows_of(s_analytic_table(chi1, chi2, c, eps))
         assert [row[0] for row in rows] == [a for a in range(1, c) if math.gcd(a, c) == 1]
         for a, d, value, bound in rows:
             ref = s_analytic(chi1, chi2, a, c, eps)
@@ -585,7 +591,7 @@ def test_analytic_table_rows_equal_s_analytic_on_random_pairs(pair, data, eps):
     chi1, chi2 = pair
     q1q2 = chi1.modulus * chi2.modulus
     c = q1q2 * data.draw(st.integers(1, 400 // q1q2))
-    rows = s_analytic_table(chi1, chi2, c, eps)
+    rows = rows_of(s_analytic_table(chi1, chi2, c, eps))
     assert [row[0] for row in rows] == [a for a in range(1, c) if math.gcd(a, c) == 1]
     for a, d, value, bound in rows:
         ref = s_analytic(chi1, chi2, a, c, eps)
@@ -597,9 +603,9 @@ def test_analytic_table_rows_equal_s_analytic_on_random_pairs(pair, data, eps):
 
 
 def test_analytic_table_is_independent_of_row_blocks(monkeypatch):
-    whole = s_analytic_table(QUARTIC, QUARTIC, 150, 1e-8)
+    whole = rows_of(s_analytic_table(QUARTIC, QUARTIC, 150, 1e-8))
     monkeypatch.setattr(dedekind, "_TABLE_BLOCK", 1)  # one unit per block
-    assert s_analytic_table(QUARTIC, QUARTIC, 150, 1e-8) == whole
+    assert rows_of(s_analytic_table(QUARTIC, QUARTIC, 150, 1e-8)) == whole
 
 
 def test_analytic_table_threads_keep_separate_work_arrays():
@@ -607,12 +613,12 @@ def test_analytic_table_threads_keep_separate_work_arrays():
     # rows of tables computed at the same time
     cases = [(LEG5, LEG5, 450), (QUARTIC, QUARTIC, 300), (ORDER6, ORDER6, 245),
              (ODD4, LEG3, 360)]
-    expected = [s_analytic_table(*case) for case in cases]
+    expected = [rows_of(s_analytic_table(*case)) for case in cases]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(4) as pool:
-            got = list(pool.map(lambda case: s_analytic_table(*case), cases * 2))
+            got = list(pool.map(lambda case: rows_of(s_analytic_table(*case)), cases * 2))
     finally:
         sys.setswitchinterval(interval)
     assert got == expected * 2
@@ -625,6 +631,82 @@ def test_analytic_table_errors():
         s_analytic_table(LEG5, ODD4, 20)
     with pytest.raises(ValueError):
         s_analytic_table(LEG5, LEG5, 25, 0.0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(pair=st.sampled_from(SMALL_PAIRS), data=st.data(),
+       eps=st.floats(-12, -3).map(lambda e: 10.0**e))
+def test_tail_terms_keep_one_minus_theta_at_least_a_half(pair, data, eps):
+    # the tail bound needs |1 - theta| >= 1/2 for l >= c'; f_eval and _f_table
+    # round Re(1 - theta) as -expm1(-t) plus exp(-t) * 2 * sin^2 >= 0, so these
+    # entries bound it from below and no check at run time is needed
+    chi1, chi2 = pair
+    q1q2 = chi1.modulus * chi2.modulus
+    c = q1q2 * data.draw(st.integers(1, 2000 // q1q2))
+    _, _, l, _, re_base, _, _ = dedekind._f_terms(chi1, chi2, c, eps)
+    tail = re_base[l >= c // chi2.modulus]
+    assert tail.size and tail.min() >= 0.998
+
+
+def test_tables_name_the_first_row_a_perturbed_entry_breaks(monkeypatch):
+    # F[7] is f at a = 7 and at -d for a = 257 (d = 443 = -7 mod 450); the
+    # numerator of a = 7 moves S(7, 450) by 10^6; either breaks the trivial bound
+    # q1*c = 2250 first at the row a = 7
+    real_f, real_num = dedekind._f_table, dedekind._double_sum_numerator
+
+    def f_table(*args):
+        F, bound = real_f(*args)
+        F[7] += 1e6
+        return F, bound
+
+    def numerator(*args):
+        a, nums = real_num(*args)
+        nums[a.tolist().index(7)] += 10**6 * 4 * 5 * 450**2
+        return a, nums
+
+    monkeypatch.setattr(dedekind, "_f_table", f_table)
+    with pytest.raises(CertificationError, match=r"^\|S\(7, 450\)\| = "):
+        s_analytic_table(LEG5, LEG5, 450)
+    monkeypatch.setattr(dedekind, "_double_sum_numerator", numerator)
+    with pytest.raises(CertificationError, match=r"^\|S\(7, 450\)\| = "):
+        s_double_sum_table(LEG5, LEG5, 450)
+
+
+def test_check_agreement_over_columns_is_the_row_by_row_maximum():
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=50) + 1j * rng.normal(size=50)
+    y = x + 1e-7 * (rng.normal(size=50) + 1j * rng.normal(size=50))
+    a, bound = np.arange(1, 51), np.full(50, 1e-5)
+    dev = dedekind.check_agreement(x, y, bound, a, 51)
+    assert type(dev) is float
+    assert dev == max(abs(u - v) for u, v in zip(x.tolist(), y.tolist()))
+    u, v = x[3].item(), y[3].item()
+    assert dedekind.check_agreement(u, v, 1e-5, 4, 51) == abs(u - v)
+    # every row is off by 5e-6, past 1e-6 + bound only where the bound is 0
+    bound[[20, 40]] = 0.0
+    with pytest.raises(CertificationError, match=r"^method disagreement 5e-06 at \(a=21, c=51\)$"):
+        dedekind.check_agreement(x, x + 5e-6, bound, a, 51)
+
+
+@pytest.mark.parametrize("chi1, chi2, cs", [
+    pytest.param(QUARTIC, character_from_index(5, 3), (25, 150, 450), id="5-idx1-5-idx3"),
+    pytest.param(ORDER6, ORDER6, (49, 245, 490), id="7-idx1-7-idx1"),
+])
+def test_table_columns_round_as_python_complex_arithmetic(chi1, chi2, cs):
+    # the columns are formed from float ufuncs in Python's order: numpy's complex
+    # * and / round a share of these rows differently
+    tau = dedekind.check_admissible(chi1, chi2)[0].tau
+    q1 = chi1.modulus
+    for c in cs:
+        a, d, S, _ = s_analytic_table(chi1, chi2, c, 1e-8)
+        for x, y, value in zip(a.tolist(), d.tolist(), S.tolist()):
+            fa, _ = f_eval(chi1, chi2, x, c, 1e-8 / 2)
+            fd, _ = f_eval(chi1, chi2, -y, c, 1e-8 / 2)
+            psi = chi1(y) * chi2(y).conjugate()
+            assert value == tau / (math.pi * 1j) * (fa - psi * fd), (x, c)
+        _, nums = dedekind._double_sum_numerator(np.conj(chi1.values), np.conj(chi2.values), c)
+        want = [complex(num) / (4 * q1 * c * c) for num in nums]
+        assert s_double_sum_table(chi1, chi2, c)[2].tolist() == want, c
 
 
 def test_certification_checks_survive_python_O():

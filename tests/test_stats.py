@@ -33,6 +33,11 @@ LEG5 = legendre_character(5)
 PAIR55 = ((5, 2), (5, 2))
 
 
+def rows_of(columns):
+    """A table's columns (a, d, S, bound) as rows of Python numbers."""
+    return list(zip(*(col.tolist() for col in columns)))
+
+
 def small_config(**kw):
     base = dict(char_pair=PAIR55, C_max=200, alpha=0.01, method="analytic")
     base.update(kw)
@@ -135,7 +140,7 @@ def test_second_moment_oracle_225():
 def test_second_moment_at_1800_matches_exact():
     # twice criterion 08's largest scale: the analytic moment's error grows
     # with c, so pin it beyond the criterion's scales too
-    rows = s_analytic_table(LEG5, LEG5, 1800, 1e-6)
+    rows = rows_of(s_analytic_table(LEG5, LEG5, 1800, 1e-6))
     approx = sum((abs(val) ** 2 for _, _, val, _ in rows), 0.0)
     exact = sum(
         (
@@ -328,8 +333,8 @@ def test_each_summary_carries_its_own_scans_deviation():
         chi1, chi2 = (character_from_index(q, i) for q, i in config.char_pair)
         want = max(abs(an[2] - ds[2])
                    for c in range(25, config.C_max + 1, 25)
-                   for an, ds in zip(s_analytic_table(chi1, chi2, c, config.target_error),
-                                     s_double_sum_table(chi1, chi2, c)))
+                   for an, ds in zip(rows_of(s_analytic_table(chi1, chi2, c, config.target_error)),
+                                     rows_of(s_double_sum_table(chi1, chi2, c))))
         assert summarize(config, measured)["max_method_deviation"] == want
     assert results[0][1]["max_method_deviation"] != results[1][1]["max_method_deviation"]
 
@@ -397,8 +402,8 @@ def test_scan_columns_equal_the_table_rows_bit_for_bit(pair, method, exceedances
     kept = []
     for c in range(25, 301, 25):
         cp = c // 5
-        rows = (s_double_sum_table(chi1, chi2, c) if method == "double_sum"
-                else s_analytic_table(chi1, chi2, c, config.target_error))
+        rows = rows_of(s_double_sum_table(chi1, chi2, c) if method == "double_sum"
+                       else s_analytic_table(chi1, chi2, c, config.target_error))
         moment = 0.0
         for a, d, value, _ in rows:
             moment += abs(value) ** 2
