@@ -238,6 +238,7 @@ def _f_terms(chi1, chi2, c, target_error):
     conj(chi2)(k0) != 0 as a generator, so f_eval holds one decay array at a
     time (about half its peak memory). L is the smallest L >= c' whose
     certified tail bound 2*q2*(c/(2*pi*L))*exp(-2*pi*L/c) is <= target_error.
+    Its |1 - theta| >= 1/2 at l >= c' needs no check: rounded, Re >= -expm1(-t) >= 0.998.
     """
     if not target_error > 0:  # NaN too
         raise ValueError("target_error must be positive")

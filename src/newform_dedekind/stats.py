@@ -117,7 +117,7 @@ def scan_F(config):
         exceeds = s_abs > threshold
         count += int(exceeds.sum())
         max_ratio = max(max_ratio, ratio.max().item())
-        moments[str(c)] = _sum_of_squares(s_abs.tolist())
+        moments[str(c)] = _sum_of_squares(S)
         keep = exceeds if config.exceedances_only else slice(None)
         columns = (a, d, D, cf_len, S.real, S.imag, s_abs, ratio, exceeds)
         records += [ScanRecord(c, *row) for row in zip(*(x[keep].tolist() for x in columns))]
@@ -127,15 +127,14 @@ def scan_F(config):
     return records, measured
 
 
-def _sum_of_squares(s_abs):
-    """Sum of |S|^2 from the floats |S|, squared and added in row order."""
-    return sum((x**2 for x in s_abs), 0.0)
+def _sum_of_squares(S):
+    """Sum of |S|^2 over the column S, |S| as np.hypot (bit for bit abs), in row order."""
+    return sum((x**2 for x in np.hypot(S.real, S.imag).tolist()), 0.0)
 
 
 def second_moment(chi1, chi2, c):
     """Sum of |S(a, c)|^2 over the phi(c) residues coprime to c, by the double sum."""
-    S = dedekind.s_double_sum_table(chi1, chi2, c)[2]
-    return _sum_of_squares(np.hypot(S.real, S.imag).tolist())
+    return _sum_of_squares(dedekind.s_double_sum_table(chi1, chi2, c)[2])
 
 
 def largeval_sweep(chi1, chi2, n, k_range):
